@@ -215,17 +215,6 @@ def positive_roots(d: DynkinDiagram) -> tuple[Vector, ...]:
     return tuple(roots)
 
 
-@lru_cache(maxsize=None)
-def root_index(d: DynkinDiagram) -> dict[Vector, int]:
-    """Map each positive root to its index in the canonical ordering."""
-    return {r: k for k, r in enumerate(positive_roots(d))}
-
-
-def is_root(d: DynkinDiagram, v: Vector) -> bool:
-    pos = root_index(d)
-    return tuple(v) in pos or tuple(-x for x in v) in pos
-
-
 def num_positive_roots(d: DynkinDiagram) -> int:
     return len(positive_roots(d))
 

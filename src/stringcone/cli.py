@@ -206,21 +206,16 @@ def _dispatch(args) -> tuple[str, int]:
         if args.source == "gp":
             _require_type_a(q)
             wd = wiring.build_wiring(word, q.diagram.n)
-            rows = []
-            seen = set()
-            for i, _, vec in wiring.gp_table(wd):
-                if vec not in seen:
-                    seen.add(vec)
-                    rows.append((i, vec))
+            typed = [(i, vec) for i, _, vec in wiring.gp_table(wd)]
         else:
             _require_adapted(word, q)
             ar = arquiver.build_ar(q, word)
-            rows = []
-            seen = set()
-            for a, vec in lusztig.all_moves(ar, check_condition=False):
-                if vec not in seen:
-                    seen.add(vec)
-                    rows.append((a.type_index, vec))
+            moves = lusztig.all_moves(ar, check_condition=False)
+            typed = [(a.type_index, vec) for a, vec in moves]
+        first_type: dict = {}
+        for i, vec in typed:
+            first_type.setdefault(vec, i)
+        rows = [(i, vec) for vec, i in first_type.items()]
         fmt = fmt or "pretty"
         if fmt == "json":
             return _json_text(strings.inequalities_json(rows)), 0

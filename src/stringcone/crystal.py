@@ -13,12 +13,6 @@ class CrystalGraph:
     edges: frozenset[tuple[tuple[int, ...], int, tuple[int, ...]]]
     depth: int
 
-    def out_edge(self, v, i):
-        for a, j, b in self.edges:
-            if a == v and j == i:
-                return b
-        return None
-
 
 def bfs_crystal(source, types, step, depth: int) -> CrystalGraph:
     """Close the source under the raising operators, up to the given depth.

@@ -13,45 +13,64 @@ class LetterAbsent(ValueError):
     """No position of the word carries the requested letter."""
 
 
+def _layout(d: DynkinDiagram, word):
+    """Positions of each letter (letters sorted, positions ascending), and for
+    each position j the pairs (k, c_{i_j, i_k}) with k > j and a nonzero entry."""
+    cm = cartan_matrix(d)
+    positions = {i: [k for k, letter in enumerate(word) if letter == i] for i in sorted(set(word))}
+    rows = [
+        [(k, cm[ij - 1][ik - 1]) for k, ik in enumerate(word) if k > j and cm[ij - 1][ik - 1]]
+        for j, ij in enumerate(word)
+    ]
+    return positions, rows
+
+
+def _bump(r: list[int], row, j: int, delta: int) -> list[int]:
+    """Update r in place for a_j += delta, and return it; row is position j's layout row."""
+    r[j] += delta
+    for k, c in row:
+        r[k] += delta * c
+    return r
+
+
+def _argmax(r, positions) -> int:
+    """First of the positions, in the order given, where r is maximal."""
+    return max(positions, key=r.__getitem__)
+
+
+def _shift(a: tuple[int, ...], k: int, delta: int) -> tuple[int, ...]:
+    return a[:k] + (a[k] + delta,) + a[k + 1:]
+
+
+def _r_vector(rows, a) -> list[int]:
+    r = [0] * len(rows)
+    for j, x in enumerate(a):
+        _bump(r, rows[j], j, x)
+    return r
+
+
 def string_r(d: DynkinDiagram, word, a) -> tuple[int, ...]:
     """r_k = a_k + sum_{j<k} c_{i_j, i_k} a_j."""
-    cm = cartan_matrix(d)
-    word = tuple(word)
-    out = []
-    for k, ik in enumerate(word):
-        out.append(a[k] + sum(cm[ij - 1][ik - 1] * a[j] for j, ij in enumerate(word[:k])))
-    return tuple(out)
+    return tuple(_r_vector(_layout(d, tuple(word))[1], a))
 
 
-def _letter_positions(word, i):
-    positions = [k for k, letter in enumerate(word) if letter == i]
-    if not positions:
+def _max_position(d: DynkinDiagram, word, i: int, a, last: bool) -> int:
+    positions, rows = _layout(d, tuple(word))
+    if i not in positions:
         raise LetterAbsent(f"letter {i} does not occur in the word")
-    return positions
+    ps = positions[i]
+    return _argmax(_r_vector(rows, a), reversed(ps) if last else ps)
 
 
 def string_e(d: DynkinDiagram, word, i: int, a) -> tuple[int, ...]:
     """Raise at the last position where the running maximum is attained."""
-    r = string_r(d, word, a)
-    positions = _letter_positions(word, i)
-    xi = max(r[k] for k in positions)
-    k2 = max(k for k in positions if r[k] == xi)
-    out = list(a)
-    out[k2] += 1
-    return tuple(out)
+    return _shift(tuple(a), _max_position(d, word, i, a, last=True), 1)
 
 
 def string_f(d: DynkinDiagram, word, i: int, a):
     """Lower at the first maximum position; None when the entry there is zero."""
-    r = string_r(d, word, a)
-    positions = _letter_positions(word, i)
-    xi = max(r[k] for k in positions)
-    k1 = min(k for k in positions if r[k] == xi)
-    if a[k1] == 0:
-        return None
-    out = list(a)
-    out[k1] -= 1
-    return tuple(out)
+    k = _max_position(d, word, i, a, last=False)
+    return _shift(tuple(a), k, -1) if a[k] else None
 
 
 def is_string(d: DynkinDiagram, word, a) -> bool:
@@ -60,29 +79,28 @@ def is_string(d: DynkinDiagram, word, a) -> bool:
     The image is the raising-closure of the zero vector, and lowering undoes
     raising exactly wherever it is defined; so a nonzero point lies in the
     image iff some applicable lowering does (the last raising edge of any
-    witnessing path can be peeled off).  Search the lowerings with memoization.
+    witnessing path can be peeled off).  Search the lowerings with memoization,
+    carrying r along each lowering step.
     """
     word = tuple(word)
-    letters = sorted(set(word))
     a = tuple(a)
     if any(x < 0 for x in a):
         return False
+    positions, rows = _layout(d, word)
     seen: dict[tuple[int, ...], bool] = {(0,) * len(word): True}
 
-    def member(v: tuple[int, ...]) -> bool:
+    def member(v: tuple[int, ...], r: list[int]) -> bool:
         if v in seen:
             return seen[v]
         seen[v] = False  # cycle-safe placeholder; lowering strictly decreases
-        result = False
-        for i in letters:
-            down = string_f(d, word, i, v)
-            if down is not None and member(down):
-                result = True
+        for ps in positions.values():
+            k = _argmax(r, ps)
+            if v[k] and member(_shift(v, k, -1), _bump(r.copy(), rows[k], k, -1)):
+                seen[v] = True
                 break
-        seen[v] = result
-        return result
+        return seen[v]
 
-    return member(a)
+    return member(a, _r_vector(rows, a))
 
 
 def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[tuple[int, ...]]:
@@ -93,10 +111,7 @@ def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[tuple[int, ...
     """
     word = tuple(word)
     n_len = len(word)
-    letters = sorted(set(word))
-    by_letter = {i: [k for k, letter in enumerate(word) if letter == i] for i in letters}
-    cm = cartan_matrix(d)
-    cross = {i: [cm[i - 1][letter - 1] for letter in word] for i in letters}
+    positions, rows = _layout(d, word)
     side = box + 1
     weights = [side**k for k in range(n_len)]
     verdict = bytearray(side**n_len)
@@ -108,23 +123,14 @@ def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[tuple[int, ...
         # advance the mixed-radix counter and patch r incrementally
         pos = 0
         while a[pos] == box:
-            delta = -box
             a[pos] = 0
-            row = cross[word[pos]]
-            r[pos] += delta
-            for j in range(pos + 1, n_len):
-                r[j] += delta * row[j]
+            _bump(r, rows[pos], pos, -box)
             pos += 1
         a[pos] += 1
-        row = cross[word[pos]]
-        r[pos] += 1
-        for j in range(pos + 1, n_len):
-            r[j] += row[j]
-        for i in letters:
-            positions = by_letter[i]
-            xi = max(r[p] for p in positions)
-            k1 = min(p for p in positions if r[p] == xi)
-            if a[k1] and verdict[idx - weights[k1]]:
+        _bump(r, rows[pos], pos, 1)
+        for ps in positions.values():
+            k = _argmax(r, ps)
+            if a[k] and verdict[idx - weights[k]]:
                 verdict[idx] = 1
                 found.append(tuple(a))
                 break
@@ -138,31 +144,25 @@ def generate_strings(d: DynkinDiagram, word, box: int) -> frozenset[tuple[int, .
     in-box string is reached through intermediates that stay in the box.
     """
     word = tuple(word)
-    letters = sorted(set(word))
+    positions, rows = _layout(d, word)
     zero = (0,) * len(word)
     seen = {zero}
-    stack = [zero]
+    stack = [(zero, [0] * len(word))]
     while stack:
-        a = stack.pop()
-        r = string_r(d, word, a)
-        for i in letters:
-            positions = [k for k, letter in enumerate(word) if letter == i]
-            xi = max(r[k] for k in positions)
-            k2 = max(k for k in positions if r[k] == xi)
-            if a[k2] >= box:
-                continue
-            b = a[:k2] + (a[k2] + 1,) + a[k2 + 1:]
-            if b not in seen:
+        a, r = stack.pop()
+        for ps in positions.values():
+            k = _argmax(r, reversed(ps))
+            b = _shift(a, k, 1)
+            if a[k] < box and b not in seen:
                 seen.add(b)
-                stack.append(b)
+                stack.append((b, _bump(r.copy(), rows[k], k, 1)))
     return frozenset(seen)
 
 
 def string_crystal(d: DynkinDiagram, word, depth: int) -> CrystalGraph:
     word = tuple(word)
-    letters = sorted(set(word))
     zero = (0,) * len(word)
-    return bfs_crystal(zero, letters, lambda i, v: string_e(d, word, i, v), depth)
+    return bfs_crystal(zero, sorted(set(word)), lambda i, v: string_e(d, word, i, v), depth)
 
 
 def string_weight(d: DynkinDiagram, word, a) -> Vector:

@@ -3,11 +3,11 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringcone.cartan import path_diagram
+from stringcone.cartan import cartan_matrix, path_diagram
 from stringcone.crystal import same_labelled_graph
 from stringcone.lusztig import lusztig_crystal, move_vectors
 from stringcone.arquiver import build_ar
-from stringcone.quiver import adapted_word, all_orientations
+from stringcone.quiver import adapted_word, all_orientations, parse_quiver
 from stringcone.strings import (
     LetterAbsent,
     cone_points,
@@ -35,6 +35,21 @@ def test_r_vector_examples():
     assert string_r(D2, W2, (0, 1, 0)) == (0, 1, -1)
 
 
+@pytest.mark.parametrize("spec", ["2>1,2>3", "4>3,3>1,3>2"])
+@given(data=st.data())
+@settings(deadline=None, max_examples=30)
+def test_r_vector_matches_formula(spec, data):
+    q = parse_quiver(spec)
+    d, word = q.diagram, adapted_word(q)
+    cm = cartan_matrix(d)
+    a = data.draw(st.tuples(*[st.integers(-3, 5) for _ in word]))
+    expected = tuple(
+        a[k] + sum(cm[word[j] - 1][word[k] - 1] * a[j] for j in range(k))
+        for k in range(len(word))
+    )
+    assert string_r(d, word, a) == expected
+
+
 def test_raising_ties_break_at_last_position():
     assert string_e(D2, W2, 1, (0, 0, 0)) == (0, 0, 1)
     assert string_e(D2, W2, 2, (0, 0, 0)) == (0, 1, 0)
@@ -48,6 +63,8 @@ def test_lowering_kills_zero():
 def test_letter_absent():
     with pytest.raises(LetterAbsent):
         string_e(D2, (1, 2, 1), 3, (0, 0, 0))
+    with pytest.raises(LetterAbsent):
+        string_f(D2, (1, 2, 1), 3, (0, 0, 0))
 
 
 def test_membership_examples():
@@ -108,6 +125,14 @@ def test_oracle_agreement_d4(d4):
     d = q.diagram
     for box in (1, 2):
         assert strings_in_box(d, word, box) == generate_strings(d, word, box)
+
+
+def test_point_oracle_matches_box_scan_d4(d4):
+    q, word = d4
+    d = q.diagram
+    per_point = frozenset(a for a in product(range(2), repeat=len(word)) if is_string(d, word, a))
+    assert len(per_point) < 2 ** len(word)
+    assert per_point == strings_in_box(d, word, 1)
 
 
 def test_every_generated_vertex_is_a_string(a3):

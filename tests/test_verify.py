@@ -61,6 +61,16 @@ def test_conjecture_d4(d4):
     assert r.check == "moves_define_cone_box1"
 
 
+def test_conjecture_d5_runs_the_per_point_oracle():
+    # box volume 2**20 is above the whole-box cut-off, so every cone point
+    # goes through is_string and every generated string through in_cone
+    from stringcone.verify import _oracle_everywhere
+
+    assert not _oracle_everywhere(20, 1)
+    r = check_conjecture(parse_quiver("1>3,2>3,3>4,4>5"), box=1)
+    assert r.passed
+
+
 def test_conjecture_rejects_failing_orientation():
     q = parse_quiver("3>1,3>2,3>4")
     with pytest.raises(ConditionLFails):
