@@ -9,6 +9,7 @@ __version__ = "0.1.0"
 
 from .cartan import (  # noqa: F401
     DynkinDiagram,
+    InvariantViolation,
     NotReducedW0,
     NotSimplyLacedAD,
     d_diagram,

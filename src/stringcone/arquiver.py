@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cartan import (
+    InvariantViolation,
     Vector,
     diagram_type,
     reflection_ordering,
@@ -181,10 +182,16 @@ def grid_A(ar: ARQuiver, i: int) -> HammockGrid:
     for k in range(1, i + 1):
         for l in range(i + 1, n + 2):
             lo, hi = j[k - 1], j[l - 1]
-            assert lo < hi
+            if lo >= hi:
+                raise InvariantViolation(
+                    "grid cell spans an empty interval", {"cell": (k, l), "ends": (lo, hi)}
+                )
             root = tuple(1 if lo <= v <= hi - 1 else 0 for v in range(1, n + 1))
             cells[(k, l)] = ar.position_by_root[root]
-    assert sorted(cells.values()) == sorted(ar.hammock(i))
+    if sorted(cells.values()) != sorted(ar.hammock(i)):
+        raise InvariantViolation(
+            "grid cells do not cover the hammock", {"type": i, "cells": cells}
+        )
     return HammockGrid(i, left, right, cells)
 
 

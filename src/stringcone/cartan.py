@@ -22,6 +22,14 @@ class NotReducedW0(ValueError):
     """The word is not a reduced expression of the longest Weyl element."""
 
 
+class InvariantViolation(RuntimeError):
+    """An internal invariant failed; `witness` holds the data that broke it."""
+
+    def __init__(self, message: str, witness=None) -> None:
+        super().__init__(message)
+        self.witness = witness
+
+
 @dataclass(frozen=True, order=True)
 class DynkinDiagram:
     """Tree on vertices 1..n, edges canonically sorted with smaller endpoint first."""
@@ -211,7 +219,10 @@ def positive_roots(d: DynkinDiagram) -> tuple[Vector, ...]:
     roots = sorted(found, key=lambda r: (root_height(r), r))
     n = d.n
     expected = n * (n + 1) // 2 if diagram_type(d) == "A" else n * (n - 1)
-    assert len(roots) == expected
+    if len(roots) != expected:
+        raise InvariantViolation(
+            "wrong number of positive roots", {"found": len(roots), "expected": expected}
+        )
     return tuple(roots)
 
 
@@ -271,7 +282,8 @@ def longest_word(d: DynkinDiagram) -> tuple[int, ...]:
             tuple(x - cm[i - 1][j] * y for x, y in zip(img, base)) if j != i - 1 else tuple(-x for x in base)
             for j, img in enumerate(images)
         ]
-    assert len(word) == num_positive_roots(d)
+    if len(word) != num_positive_roots(d):
+        raise InvariantViolation("greedy word for w0 has the wrong length", {"word": word})
     return tuple(word)
 
 
@@ -283,6 +295,9 @@ def w0_involution(d: DynkinDiagram) -> tuple[int, ...]:
     for i in range(1, d.n + 1):
         img = weyl_act(d, word, simple_root(d, i))
         neg = tuple(-x for x in img)
-        assert root_height(neg) == 1
+        if root_height(neg) != 1:
+            raise InvariantViolation(
+                "w0 does not negate a simple root", {"letter": i, "image": img}
+            )
         out.append(neg.index(1) + 1)
     return tuple(out)

@@ -1,7 +1,8 @@
 """Command line surface: inspect roots, translation quivers, moves, paths,
 strings and inequality systems, and run the verification checks.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
+Exit codes: 0 success, 1 verification failure or internal invariant failure,
+2 usage or input errors.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import tempfile
 
 from . import arquiver, lusztig, strings, verify, wiring
 from .cartan import (
+    InvariantViolation,
     NotReducedW0,
     NotSimplyLacedAD,
     diagram_type,
@@ -290,6 +292,9 @@ def main(argv=None) -> int:
             NotSimplyLacedAD, verify.ConditionLFails, verify.NotTypeAInstance) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except InvariantViolation as exc:
+        sys.stderr.write(f"internal invariant failed: {exc}; witness: {exc.witness!r}\n")
+        return 1
     _emit(payload, args.out)
     return code
 

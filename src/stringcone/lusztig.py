@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 from .arquiver import ARQuiver
-from .cartan import Vector
+from .cartan import InvariantViolation, Vector
 from .crystal import CrystalGraph, bfs_crystal
 from .quiver import condition_L
 
@@ -105,9 +105,9 @@ def f_value(ar: ARQuiver, a: Antichain, t) -> int:
 def maximal_antichain(ar: ARQuiver, i: int, t) -> Antichain:
     """The unique inclusion-maximal antichain among the F maximizers.
 
-    Asserts uniqueness by checking the union of maximizer ideals is itself a
-    maximizer ideal; a failure signals a non-adapted word or a quiver without
-    the multiplicity-one property.
+    Checks uniqueness by testing that the union of maximizer ideals is itself a
+    maximizer ideal; a failure (InvariantViolation) signals a non-adapted word or
+    a quiver without the multiplicity-one property.
     """
     choices = antichains(ar, i)
     values = [f_value(ar, a, t) for a in choices]
@@ -119,7 +119,10 @@ def maximal_antichain(ar: ARQuiver, i: int, t) -> Antichain:
     for a in argmax:
         if set(ideal(ar, a)) == union:
             return a
-    raise AssertionError("maximizer antichains have no unique maximum")
+    raise InvariantViolation(
+        "maximizer antichains have no unique maximum",
+        {"type": i, "t": tuple(t), "maximizers": [a.positions for a in argmax]},
+    )
 
 
 def lusztig_e(ar: ARQuiver, i: int, t) -> Vector:
@@ -129,7 +132,10 @@ def lusztig_e(ar: ARQuiver, i: int, t) -> Vector:
         raise ValueError("multiplicity vectors must be nonnegative")
     a_max = maximal_antichain(ar, i, t)
     out = tuple(x + m for x, m in zip(t, move(ar, a_max)))
-    assert all(x >= 0 for x in out)
+    if any(x < 0 for x in out):
+        raise InvariantViolation(
+            "raising gave a negative multiplicity", {"type": i, "t": t, "result": out}
+        )
     return out
 
 

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 from .cartan import (
     DynkinDiagram,
+    InvariantViolation,
     NotSimplyLacedAD,
     Vector,
     cartan_matrix,
@@ -130,7 +131,8 @@ def adapted_word(q: Quiver) -> tuple[int, ...]:
             if is_sink(cur, i) and all(x >= 0 for x in images[i - 1]):
                 pick = i
                 break
-        assert pick is not None, "no admissible sink; the quiver machinery is broken"
+        if pick is None:
+            raise InvariantViolation("no admissible sink", {"word": tuple(word)})
         word.append(pick)
         cur = reflect_sink(cur, pick)
         base = images[pick - 1]
@@ -250,7 +252,9 @@ def segmented_cycle(q: Quiver, i: int) -> tuple[tuple[int, ...], tuple[int, ...]
         rot = cyc[r:] + cyc[:r]
         if set(rot[:i]) == low:
             return rot[:i], rot[i:]
-    raise AssertionError("no segmented rotation; insertion cycle is broken")
+    raise InvariantViolation(
+        "no segmented rotation of the insertion cycle", {"cycle": cyc, "i": i}
+    )
 
 
 def coxeter_permutation(q: Quiver) -> tuple[int, ...]:

@@ -54,23 +54,31 @@ def string_r(d: DynkinDiagram, word, a) -> tuple[int, ...]:
     return tuple(_r_vector(_layout(d, tuple(word))[1], a))
 
 
-def _max_position(d: DynkinDiagram, word, i: int, a, last: bool) -> int:
+def _max_position(d: DynkinDiagram, word, i: int, a, last: bool) -> tuple[int, int]:
+    """The first (or last) position of letter i where r is maximal, and that maximum."""
     positions, rows = _layout(d, tuple(word))
     if i not in positions:
         raise LetterAbsent(f"letter {i} does not occur in the word")
     ps = positions[i]
-    return _argmax(_r_vector(rows, a), reversed(ps) if last else ps)
+    r = _r_vector(rows, a)
+    k = _argmax(r, reversed(ps) if last else ps)
+    return k, r[k]
 
 
 def string_e(d: DynkinDiagram, word, i: int, a) -> tuple[int, ...]:
     """Raise at the last position where the running maximum is attained."""
-    return _shift(tuple(a), _max_position(d, word, i, a, last=True), 1)
+    return _shift(tuple(a), _max_position(d, word, i, a, last=True)[0], 1)
 
 
 def string_f(d: DynkinDiagram, word, i: int, a):
-    """Lower at the first maximum position; None when the entry there is zero."""
-    k = _max_position(d, word, i, a, last=False)
-    return _shift(tuple(a), k, -1) if a[k] else None
+    """Lower at the first maximum position; None when the maximum is not positive.
+
+    A maximum of zero means the point is the bottom of its i-string: lowering
+    there leaves the image even when the entry is nonzero.  A zero entry also
+    gives None, which only happens off the image.
+    """
+    k, top = _max_position(d, word, i, a, last=False)
+    return _shift(tuple(a), k, -1) if top > 0 and a[k] else None
 
 
 def is_string(d: DynkinDiagram, word, a) -> bool:
@@ -104,36 +112,30 @@ def is_string(d: DynkinDiagram, word, a) -> bool:
 
 
 def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[tuple[int, ...]]:
-    """The is_string filter of the whole box, memoized over lowering steps.
+    """The points of [0..box]^N that is_string accepts, searched upward from zero.
 
-    Lowering strictly decreases one coordinate, so verdicts can be filled in
-    box-lexicographic order with each point looking up its lowered neighbour.
+    A nonzero point b is a string iff some lowering of b is defined and lands on
+    a string, and a lowering that subtracts e_k is b's first maximum of r among
+    the positions of letter word[k].  So from each accepted a, the point
+    b = a + e_k is accepted exactly when k is that first maximum of r(b): the
+    lowering tie rule applied at b, never the raising rule at a.  The work is
+    |strings| * N, not the (box+1)^N of a scan.
     """
     word = tuple(word)
-    n_len = len(word)
     positions, rows = _layout(d, word)
-    side = box + 1
-    weights = [side**k for k in range(n_len)]
-    verdict = bytearray(side**n_len)
-    verdict[0] = 1
-    found: list[tuple[int, ...]] = [(0,) * n_len]
-    r = [0] * n_len
-    a = [0] * n_len
-    for idx in range(1, side**n_len):
-        # advance the mixed-radix counter and patch r incrementally
-        pos = 0
-        while a[pos] == box:
-            a[pos] = 0
-            _bump(r, rows[pos], pos, -box)
-            pos += 1
-        a[pos] += 1
-        _bump(r, rows[pos], pos, 1)
-        for ps in positions.values():
-            k = _argmax(r, ps)
-            if a[k] and verdict[idx - weights[k]]:
-                verdict[idx] = 1
-                found.append(tuple(a))
-                break
+    zero = (0,) * len(word)
+    found = {zero}
+    stack = [(zero, [0] * len(word))]
+    while stack:
+        a, r = stack.pop()
+        for k, letter in enumerate(word):
+            if a[k] < box:
+                b = _shift(a, k, 1)
+                if b not in found:
+                    rb = _bump(r.copy(), rows[k], k, 1)
+                    if _argmax(rb, positions[letter]) == k:
+                        found.add(b)
+                        stack.append((b, rb))
     return frozenset(found)
 
 

@@ -77,16 +77,12 @@ def check_theorem_2_4(q: Quiver, word=None, strict: bool = False) -> Verificatio
     return VerificationReport(_instance(q, word), "moves_equal_path_cone", moves == cone, witness)
 
 
-def _oracle_everywhere(dim: int, box: int) -> bool:
-    return (box + 1) ** dim <= 1_000_000
-
-
 def check_cone(diagram, word, normals, box: int) -> VerificationReport:
     """Cone integer points, generated strings, and the membership oracle agree.
 
-    The oracle filter runs over the whole box when it is small, otherwise the
-    oracle certifies every cone point and every generated string is tested
-    against the cone.
+    Over [0..box]^N the integer points of the cone must equal the raising
+    closure of zero, and the lowering oracle's strings in the box must equal
+    that closure too: every cone point accepted, every other point rejected.
     """
     word = tuple(word)
     dim = len(word)
@@ -99,7 +95,7 @@ def check_cone(diagram, word, normals, box: int) -> VerificationReport:
         missing = sorted(cone - generated)
         extra = sorted(generated - cone)
         witness = {"cone_only": missing[:3], "generated_only": extra[:3]}
-    if passed and _oracle_everywhere(dim, box):
+    else:
         filtered = strings.strings_in_box(diagram, word, box)
         if filtered != generated:
             passed = False
@@ -107,18 +103,6 @@ def check_cone(diagram, word, normals, box: int) -> VerificationReport:
                 "filter_only": sorted(filtered - generated)[:3],
                 "generated_only": sorted(generated - filtered)[:3],
             }
-    elif passed:
-        for a in sorted(cone):
-            if not strings.is_string(diagram, word, a):
-                passed = False
-                witness = {"cone_point_not_string": a}
-                break
-        if passed:
-            for a in sorted(generated):
-                if not strings.in_cone(a, normals):
-                    passed = False
-                    witness = {"string_outside_cone": a}
-                    break
     name = f"string_cone_box{box}"
     return VerificationReport(f"word {','.join(map(str, word))}", name, passed, witness)
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arquiver import ARQuiver, grid_A
-from .cartan import Vector, path_diagram, reflection_ordering
+from .cartan import InvariantViolation, Vector, path_diagram, reflection_ordering
 from .lusztig import Antichain
 from .quiver import NotAdapted
 
@@ -69,7 +69,8 @@ def build_wiring(word, n: int) -> WiringDiagram:
     pairs = []
     for t in word:
         a, b = tracks[t - 1], tracks[t]
-        assert a < b, "wires meeting twice; the word is not reduced"
+        if a >= b:
+            raise InvariantViolation("wires meet twice", {"letter": t, "wires": (a, b)})
         pairs.append((a, b))
         tracks[t - 1], tracks[t] = b, a
         occupancy.append(tuple(tracks))
@@ -77,7 +78,11 @@ def build_wiring(word, n: int) -> WiringDiagram:
         root = roots[k]
         lo = root.index(1) + 1
         hi = n - tuple(reversed(root)).index(1)
-        assert (a, b) == (lo, hi + 1), "crossing pair does not match the root interval"
+        if (a, b) != (lo, hi + 1):
+            raise InvariantViolation(
+                "crossing pair does not match the root interval",
+                {"position": k + 1, "wires": (a, b), "root": root},
+            )
     route: dict[int, list[int]] = {j: [] for j in range(1, n + 2)}
     for k, (a, b) in enumerate(pairs, start=1):
         route[a].append(k)
@@ -282,7 +287,11 @@ def zones(wd: WiringDiagram, i: int) -> Zones:
     v_alpha = wd.crossing_of(i, i + 1)
     chosen = tuple(c for c in wd.chambers if i in c.label and (i + 1) not in c.label)
     for c in chosen:
-        assert c.right_cap is not None and c.right_cap <= v_alpha
+        if c.right_cap is None or c.right_cap > v_alpha:
+            raise InvariantViolation(
+                "zone chamber ends after the simple-root crossing",
+                {"type": i, "label": c.label, "right_cap": c.right_cap},
+            )
     z = frozenset(c.right_cap for c in chosen)
     y: set[int] = set()
     for c in chosen:
@@ -308,7 +317,8 @@ def path_antichain(wd: WiringDiagram, ar: ARQuiver, path: GPPath) -> Antichain:
         if h > i and l <= i:
             turns.append(k)
     positions = tuple(sorted(turns))
-    assert set(positions) <= set(ar.p_set(i))
+    if not set(positions) <= set(ar.p_set(i)):
+        raise InvariantViolation("path turns outside the hammock", {"type": i, "turns": positions})
     return Antichain(i, positions)
 
 
@@ -326,7 +336,10 @@ def antichain_path(wd: WiringDiagram, ar: ARQuiver, a: Antichain) -> GPPath:
     j = grid.left_segment + grid.right_segment
     cells = sorted((grid.cell_of(pos) for pos in a.positions), key=lambda c: -c[0])
     for (k1, l1), (k2, l2) in zip(cells, cells[1:]):
-        assert k1 > k2 and l1 < l2, "positions are not an antichain in the grid"
+        if not (k1 > k2 and l1 < l2):
+            raise InvariantViolation(
+                "positions are not an antichain in the grid", {"type": i, "cells": cells}
+            )
     crossings: list[int] = []
     wires_seq: list[int] = []
 
@@ -340,7 +353,9 @@ def antichain_path(wd: WiringDiagram, ar: ARQuiver, a: Antichain) -> GPPath:
             wires_seq.append(wire)
             if k == target:
                 return
-        raise AssertionError("target crossing is not ahead on the wire")
+        raise InvariantViolation(
+            "target crossing is not ahead on the wire", {"wire": wire, "target": target}
+        )
 
     first_f = j[cells[0][1] - 1]
     if first_f != i + 1:
@@ -362,8 +377,11 @@ def antichain_path(wd: WiringDiagram, ar: ARQuiver, a: Antichain) -> GPPath:
                 wires_seq.append(i)
     wires_seq.append(i)
     path = GPPath(i, tuple(crossings), tuple(wires_seq))
-    assert is_gp_path(wd, path), "reconstructed staircase is not a valid path"
-    assert path_antichain(wd, ar, path) == a
+    if not is_gp_path(wd, path) or path_antichain(wd, ar, path) != a:
+        raise InvariantViolation(
+            "reconstructed staircase does not realize the antichain",
+            {"type": i, "antichain": a.positions, "crossings": path.crossings},
+        )
     return path
 
 

@@ -199,7 +199,8 @@ def test_criterion_8_crystal_consistency():
                     up = string_e(d, word, i, a)
                     assert string_f(d, word, i, up) == a
                     down = string_f(d, word, i, a)
-                    if down is not None and is_string(d, word, down):
+                    if down is not None:
+                        assert is_string(d, word, down)
                         assert string_e(d, word, i, down) == a
 
         # raising witnesses for every antichain, ranks 2-5 and the branch quiver

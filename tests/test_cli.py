@@ -124,6 +124,18 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "nonnegative" in err
 
 
+def test_invariant_violation_exits_one(capsys, monkeypatch):
+    # a move that empties a multiplicity trips the raising operator's check,
+    # which must survive python -O
+    from stringcone import lusztig
+
+    monkeypatch.setattr(lusztig, "move", lambda ar, a: (-1,) * ar.N)
+    code, out, err = run(capsys, "crystal", "--quiver", "2>1", "--depth", "1")
+    assert code == 1 and out == ""
+    assert "internal invariant failed: raising gave a negative multiplicity" in err
+    assert "'result': (-1, -1, -1)" in err
+
+
 def test_argparse_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
 

@@ -123,7 +123,7 @@ def test_oracle_agreement_type_a(n):
 def test_oracle_agreement_d4(d4):
     q, word = d4
     d = q.diagram
-    for box in (1, 2):
+    for box in (1, 2, 3):
         assert strings_in_box(d, word, box) == generate_strings(d, word, box)
 
 
@@ -155,8 +155,25 @@ def test_raise_then_lower_roundtrip(seq):
     assert is_string(d, word, a)
     for i in (1, 2, 3):
         down = string_f(d, word, i, a)
-        if down is not None and is_string(d, word, down):
+        if down is not None:
+            assert is_string(d, word, down)
             assert string_e(d, word, i, down) == a
+
+
+def test_lower_then_raise_d4(d4):
+    # wherever f is defined on a string, it lands on a string and e undoes it
+    q, word = d4
+    d = q.diagram
+    generated = generate_strings(d, word, 2)
+    lowered = 0
+    for a in sorted(generated):
+        for i in range(1, d.n + 1):
+            down = string_f(d, word, i, a)
+            if down is not None:
+                lowered += 1
+                assert down in generated
+                assert string_e(d, word, i, down) == a
+    assert lowered > len(generated)
 
 
 def test_weight_increment(a3):
