@@ -52,9 +52,6 @@ class ARQuiver:
         """Reflexive reachability along arrows."""
         return k2 in self._reach[k1 - 1]
 
-    def is_projective(self, k: int) -> bool:
-        return k not in self.tau
-
     def hammock(self, i: int) -> tuple[int, ...]:
         """Positions whose root involves the simple root at i."""
         return tuple(k for k in range(1, self.N + 1) if self.roots[k - 1][i - 1] > 0)

@@ -120,11 +120,6 @@ def simple_root(d: DynkinDiagram, i: int) -> Vector:
     return tuple(1 if j == i - 1 else 0 for j in range(d.n))
 
 
-def fundamental_weight(d: DynkinDiagram, i: int) -> Vector:
-    _check_letter(d, i)
-    return tuple(1 if j == i - 1 else 0 for j in range(d.n))
-
-
 def root_height(v: Vector) -> int:
     return sum(v)
 

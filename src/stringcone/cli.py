@@ -82,6 +82,16 @@ def _pretty_root(root) -> str:
     return "+".join(parts) if parts else "0"
 
 
+def _nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} must be nonnegative")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stringcone",
@@ -89,65 +99,69 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, word=True):
-        p.add_argument("--quiver", required=True, help="arrows like '2>1,2>3'")
-        if word:
-            p.add_argument("--word", default="auto", help="'auto' or letters 'i1,i2,...'")
-        p.add_argument("--format", dest="fmt", default=None, choices=["json", "tsv", "dot", "pretty"])
+    def output(p, formats):
+        p.add_argument("--format", dest="fmt", default=formats[0], choices=formats)
         p.add_argument("--out", default=None, help="write output atomically to this path")
 
-    common(sub.add_parser("roots", help="positive roots in the word ordering"))
-    common(sub.add_parser("ar", help="translation quiver"))
+    def common(p, formats):
+        p.add_argument("--quiver", required=True, help="arrows like '2>1,2>3'")
+        p.add_argument("--word", default="auto", help="'auto' or letters 'i1,i2,...'")
+        output(p, formats)
+
+    p = sub.add_parser("roots", help="positive roots in the word ordering")
+    common(p, ("pretty", "json", "tsv"))
+    common(sub.add_parser("ar", help="translation quiver"), ("dot", "json"))
     p = sub.add_parser("hammock", help="hammock and its map-to-simple subposet")
-    common(p)
+    common(p, ("json",))
     p.add_argument("--type-index", type=int, required=True)
-    common(sub.add_parser("moves", help="antichain move table"))
+    common(sub.add_parser("moves", help="antichain move table"), ("tsv", "json", "pretty"))
     p = sub.add_parser("gp", help="oriented wiring paths and contribution vectors")
-    common(p)
+    common(p, ("json",))
     p.add_argument("--type-index", type=int, default=None)
     p = sub.add_parser("inequalities", help="cone inequality system")
-    common(p)
+    common(p, ("pretty", "json"))
     p.add_argument("--source", default="moves", choices=["gp", "moves"])
     p = sub.add_parser("strings", help="string parameters inside a box")
-    common(p)
-    p.add_argument("--box", type=int, required=True)
+    common(p, ("json",))
+    p.add_argument("--box", type=_nonnegative, required=True)
     p = sub.add_parser("crystal", help="crystal graph to a depth")
-    common(p)
-    p.add_argument("--depth", type=int, required=True)
+    common(p, ("json",))
+    p.add_argument("--depth", type=_nonnegative, required=True)
     p.add_argument("--param", default="lusztig", choices=["lusztig", "string"])
-    common(sub.add_parser("wiring", help="wiring diagram layout"))
-    p = sub.add_parser("verify", help="verification checks")
-    p.add_argument("kind", choices=["theorem", "cone", "conjecture", "suite"])
-    p.add_argument("--quiver", default=None)
-    p.add_argument("--word", default="auto")
-    p.add_argument("--box", type=int, default=2)
-    p.add_argument("--max-rank", type=int, default=4)
+    common(sub.add_parser("wiring", help="wiring diagram layout"), ("dot",))
+
+    kinds = sub.add_parser("verify", help="verification checks").add_subparsers(
+        dest="kind", required=True
+    )
+    p = kinds.add_parser("theorem")
+    common(p, ("pretty", "json"))
     p.add_argument("--strict", action="store_true", help="compare move sets with type tags")
-    p.add_argument("--format", dest="fmt", default=None, choices=["json", "pretty"])
-    p.add_argument("--out", default=None)
+    for kind in ("cone", "conjecture"):
+        p = kinds.add_parser(kind)
+        common(p, ("pretty", "json"))
+        p.add_argument("--box", type=_nonnegative, default=2)
+    p = kinds.add_parser("suite")
+    p.add_argument("--max-rank", type=_nonnegative, default=4)
+    p.add_argument("--box", type=_nonnegative, default=2)
+    output(p, ("pretty", "json"))
     return parser
 
 
 def _dispatch(args) -> tuple[str, int]:
-    for bound in ("box", "depth", "max_rank"):
-        if getattr(args, bound, 0) is not None and getattr(args, bound, 0) < 0:
-            raise UsageError(f"--{bound.replace('_', '-')} must be nonnegative")
     if args.command == "verify":
         return _run_verify(args)
     q = parse_quiver(args.quiver)
-    word = _parse_word(q, args.word) if hasattr(args, "word") else adapted_word(q)
+    word = _parse_word(q, args.word)
     if getattr(args, "type_index", None) is not None and not (
         1 <= args.type_index <= q.diagram.n
     ):
         raise UsageError(f"--type-index {args.type_index} out of range 1..{q.diagram.n}")
-    fmt = args.fmt
 
     if args.command == "roots":
         ordering = reflection_ordering(q.diagram, word)
-        fmt = fmt or "pretty"
-        if fmt == "json":
+        if args.fmt == "json":
             return _json_text({"word": list(word), "roots": [list(r) for r in ordering]}), 0
-        if fmt == "tsv":
+        if args.fmt == "tsv":
             lines = ["position\theight\troot"]
             lines += [f"{k}\t{sum(r)}\t{','.join(map(str, r))}" for k, r in enumerate(ordering, 1)]
             return "\n".join(lines) + "\n", 0
@@ -157,8 +171,7 @@ def _dispatch(args) -> tuple[str, int]:
     if args.command == "ar":
         _require_adapted(word, q)
         ar = arquiver.build_ar(q, word)
-        fmt = fmt or "dot"
-        if fmt == "json":
+        if args.fmt == "json":
             payload = {
                 "word": list(word),
                 "roots": [list(r) for r in ar.roots],
@@ -188,13 +201,12 @@ def _dispatch(args) -> tuple[str, int]:
     if args.command == "moves":
         _require_adapted(word, q)
         ar = arquiver.build_ar(q, word)
-        fmt = fmt or "tsv"
-        if fmt == "json":
+        if args.fmt == "json":
             return _json_text(lusztig.moves_json(ar)), 0
-        if fmt == "pretty":
+        if args.fmt == "pretty":
             lines = [
                 f"{a.type_index}: {strings.pretty_inequality(vec)}"
-                for a, vec in lusztig.all_moves(ar, check_condition=False)
+                for a, vec in lusztig.all_moves(ar)
             ]
             return "\n".join(lines) + "\n", 0
         return lusztig.moves_tsv(ar), 0
@@ -212,14 +224,13 @@ def _dispatch(args) -> tuple[str, int]:
         else:
             _require_adapted(word, q)
             ar = arquiver.build_ar(q, word)
-            moves = lusztig.all_moves(ar, check_condition=False)
+            moves = lusztig.all_moves(ar)
             typed = [(a.type_index, vec) for a, vec in moves]
         first_type: dict = {}
         for i, vec in typed:
             first_type.setdefault(vec, i)
         rows = [(i, vec) for vec, i in first_type.items()]
-        fmt = fmt or "pretty"
-        if fmt == "json":
+        if args.fmt == "json":
             return _json_text(strings.inequalities_json(rows)), 0
         return "\n".join(strings.pretty_inequality(vec) for _, vec in rows) + "\n", 0
 
@@ -252,18 +263,15 @@ def _dispatch(args) -> tuple[str, int]:
 
 
 def _run_verify(args) -> tuple[str, int]:
-    fmt = args.fmt or "pretty"
     if args.kind == "suite":
         summary = verify.run_suite(args.max_rank, args.box)
-        if fmt == "json":
+        if args.fmt == "json":
             return _json_text(summary.as_json()), 0 if summary.ok else 1
         if summary.ok:
             return f"all checks passed ({len(summary.reports)} checks)\n", 0
         lines = [f"{r.check} FAILED on {r.instance}: {r.witness}" for r in summary.failures]
         return "\n".join(lines) + "\n", 1
 
-    if args.quiver is None:
-        raise UsageError("this verification needs --quiver")
     q = parse_quiver(args.quiver)
     word = _parse_word(q, args.word)
     if args.kind == "theorem":
@@ -274,7 +282,7 @@ def _run_verify(args) -> tuple[str, int]:
         report = verify.check_cone(q.diagram, word, wiring.gp_cone(wd), args.box)
     else:
         report = verify.check_conjecture(q, word, args.box)
-    if fmt == "json":
+    if args.fmt == "json":
         return _json_text(report.as_json()), 0 if report.passed else 1
     status = "PASS" if report.passed else f"FAIL witness={report.witness}"
     return f"{report.check}: {status} ({report.instance})\n", 0 if report.passed else 1

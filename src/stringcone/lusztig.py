@@ -7,13 +7,11 @@ functions F_A.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .arquiver import ARQuiver
 from .cartan import InvariantViolation, Vector
 from .crystal import CrystalGraph, bfs_crystal
-from .quiver import condition_L
 
 
 @dataclass(frozen=True, order=True)
@@ -69,6 +67,11 @@ def cominimals(ar: ARQuiver, a: Antichain) -> tuple[int, ...]:
     return ar._cache[key]
 
 
+def _translated_cominimals(ar: ARQuiver, a: Antichain) -> list[int]:
+    """Translates of the complement minimals; a projective has no translate."""
+    return [ar.tau[k] for k in cominimals(ar, a) if k in ar.tau]
+
+
 def move(ar: ARQuiver, a: Antichain) -> Vector:
     """+1 on the antichain, -1 on translates of the complement minimals.
 
@@ -77,18 +80,16 @@ def move(ar: ARQuiver, a: Antichain) -> Vector:
     vec = [0] * ar.N
     for k in a.positions:
         vec[k - 1] += 1
-    for k in cominimals(ar, a):
-        if k in ar.tau:
-            vec[ar.tau[k] - 1] -= 1
+    for k in _translated_cominimals(ar, a):
+        vec[k - 1] -= 1
     return tuple(vec)
 
 
 def u_vector(ar: ARQuiver, a: Antichain) -> Vector:
     """Multiplicity vector of the module whose raising realizes the move."""
     vec = [0] * ar.N
-    for k in cominimals(ar, a):
-        if k in ar.tau:
-            vec[ar.tau[k] - 1] += 1
+    for k in _translated_cominimals(ar, a):
+        vec[k - 1] += 1
     return tuple(vec)
 
 
@@ -139,10 +140,9 @@ def lusztig_e(ar: ARQuiver, i: int, t) -> Vector:
     return out
 
 
-def all_moves(ar: ARQuiver, check_condition: bool = True) -> list[tuple[Antichain, Vector]]:
-    """Every antichain move of every type, in canonical order."""
-    if check_condition and not condition_L(ar.quiver, ar):
-        warnings.warn("quiver violates the multiplicity-one property; moves may not be crystal moves")
+def all_moves(ar: ARQuiver) -> list[tuple[Antichain, Vector]]:
+    """Every antichain move of every type, in canonical order (crystal moves
+    only where `quiver.condition_L` holds, which callers that need it check)."""
     out = []
     for i in range(1, ar.n + 1):
         for a in antichains(ar, i):
@@ -150,9 +150,9 @@ def all_moves(ar: ARQuiver, check_condition: bool = True) -> list[tuple[Antichai
     return out
 
 
-def move_vectors(ar: ARQuiver, typed: bool = False, check_condition: bool = True) -> frozenset:
+def move_vectors(ar: ARQuiver, typed: bool = False) -> frozenset:
     """Deduplicated move vectors, optionally tagged with their type."""
-    rows = all_moves(ar, check_condition=check_condition)
+    rows = all_moves(ar)
     if typed:
         return frozenset((a.type_index, vec) for a, vec in rows)
     return frozenset(vec for _, vec in rows)
@@ -176,14 +176,14 @@ def lusztig_weight(ar: ARQuiver, t) -> Vector:
 def moves_json(ar: ARQuiver) -> list[dict]:
     return [
         {"type": a.type_index, "antichain": list(a.positions), "vector": list(vec)}
-        for a, vec in all_moves(ar, check_condition=False)
+        for a, vec in all_moves(ar)
     ]
 
 
 def moves_tsv(ar: ARQuiver) -> str:
     lines = ["type\tantichain\ttranslated_minimals\tvector"]
-    for a, vec in all_moves(ar, check_condition=False):
-        u = [ar.tau[k] for k in cominimals(ar, a) if k in ar.tau]
+    for a, vec in all_moves(ar):
+        u = _translated_cominimals(ar, a)
         lines.append(
             "{}\t{}\t{}\t{}".format(
                 a.type_index,

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from . import arquiver, lusztig, strings, wiring
 from .cartan import (
     diagram_type,
-    fundamental_weight,
     pair_root_weight,
     path_diagram,
     simple_root,
@@ -67,7 +66,7 @@ def check_theorem_2_4(q: Quiver, word=None, strict: bool = False) -> Verificatio
         word = adapted_word(q)
     ar = arquiver.build_ar(q, word)
     wd = wiring.build_wiring(word, q.diagram.n)
-    moves = lusztig.move_vectors(ar, typed=strict, check_condition=False)
+    moves = lusztig.move_vectors(ar, typed=strict)
     cone = wiring.gp_cone(wd, typed=strict)
     witness = None
     if moves != cone:
@@ -117,19 +116,17 @@ def check_conjecture(q: Quiver, word=None, box: int = 2) -> VerificationReport:
     ar = arquiver.build_ar(q, word)
     if not condition_L(q, ar):
         raise ConditionLFails(f"quiver {quiver_spec(q)} has a module with multiplicity two")
-    normals = lusztig.move_vectors(ar, check_condition=False)
+    normals = lusztig.move_vectors(ar)
     report = check_cone(q.diagram, word, normals, box)
     return VerificationReport(
         _instance(q, word), f"moves_define_cone_box{box}", report.passed, report.witness
     )
 
 
-def structural_reports(
-    q: Quiver, word=None, crystal_depth: int = 3, crystal_checks: bool | None = None
-) -> list[VerificationReport]:
+def structural_reports(q: Quiver, word=None) -> list[VerificationReport]:
     """Property suite for one instance; type A gets the wiring comparisons.
 
-    Crystal-operator checks presume the multiplicity-one property and are
+    Crystal checks (to depth 3) presume the multiplicity-one property and are
     skipped where it fails (they would test a vacuous hypothesis).
     """
     if word is None:
@@ -189,12 +186,10 @@ def structural_reports(
     ]
     report("hom_nonnegative", not bad, bad[:3] or None)
 
-    if crystal_checks is None:
-        crystal_checks = condition_L(q, ar)
-    if crystal_checks:
+    if condition_L(q, ar):
         # raising operator adds the right simple root to the weight
         bad = []
-        graph = lusztig.lusztig_crystal(ar, crystal_depth)
+        graph = lusztig.lusztig_crystal(ar, 3)
         for v, i, w in graph.edges:
             diff = tuple(
                 a - b
@@ -230,7 +225,8 @@ def structural_reports(
     # chamber weights against the Weyl-translated fundamental weights
     bad = []
     for k in range(1, ar.N + 1):
-        omega = fundamental_weight(d, word[k - 1])
+        # in the weight basis the fundamental weight omega_i has coordinates e_i
+        omega = simple_root(d, word[k - 1])
         if wiring.lambda_minus(wd, k) != weyl_act(d, word[: k - 1], omega, basis="weight"):
             bad.append(("minus", k))
         if wiring.lambda_plus(wd, k) != weyl_act(d, word[:k], omega, basis="weight"):
@@ -345,7 +341,7 @@ def run_suite(max_rank: int, box: int) -> SuiteSummary:
             word = adapted_word(q)
             summary.reports.append(check_theorem_2_4(q, word, strict=True))
             ar = arquiver.build_ar(q, word)
-            normals = lusztig.move_vectors(ar, check_condition=False)
+            normals = lusztig.move_vectors(ar)
             cone = check_cone(d, word, normals, box)
             summary.reports.append(
                 VerificationReport(_instance(q, word), cone.check, cone.passed, cone.witness)

@@ -9,7 +9,6 @@ from stringcone.cartan import (
     d_diagram,
     diagram_type,
     dynkin_diagram,
-    fundamental_weight,
     longest_word,
     num_positive_roots,
     omega_to_alpha,
@@ -85,9 +84,9 @@ def test_weyl_act_rank_two():
 def test_weyl_act_on_weight():
     for d in (path_diagram(3), d_diagram(4)):
         for i in range(1, d.n + 1):
-            got = weyl_act(d, (i,), fundamental_weight(d, i), basis="weight")
+            got = weyl_act(d, (i,), simple_root(d, i), basis="weight")
             alpha_omega = alpha_to_omega(d, simple_root(d, i))
-            assert got == tuple(w - a for w, a in zip(fundamental_weight(d, i), alpha_omega))
+            assert got == tuple(w - a for w, a in zip(simple_root(d, i), alpha_omega))
 
 
 def test_weyl_act_letter_range():

@@ -82,13 +82,13 @@ def test_a2_move_set():
 
 
 def test_d4_move_rows(d4_ar):
-    rows = {a.positions: vec for a, vec in all_moves(d4_ar, check_condition=False) if a.type_index == 4}
+    rows = {a.positions: vec for a, vec in all_moves(d4_ar) if a.type_index == 4}
     vec = rows[(6,)]
     assert vec[5] == 1 and vec[2] == -1 and sum(map(abs, vec)) == 2
 
 
 def test_move_weights_are_simple_roots(d4_ar):
-    for a, vec in all_moves(d4_ar, check_condition=False):
+    for a, vec in all_moves(d4_ar):
         weight = lusztig_weight(d4_ar, [max(v, 0) for v in vec])
         weight = tuple(
             w - x

@@ -96,7 +96,7 @@ def test_box_filter_matches_generation_a3(a3):
     d = q.diagram
     assert strings_in_box(d, word, 1) == generate_strings(d, word, 1)
     ar = build_ar(q)
-    normals = move_vectors(ar, check_condition=False)
+    normals = move_vectors(ar)
     box_points = frozenset(
         a for a in product(range(2), repeat=6) if in_cone(a, normals)
     )

@@ -3,7 +3,6 @@ import pytest
 from stringcone.arquiver import build_ar
 from stringcone.cartan import (
     NotReducedW0,
-    fundamental_weight,
     path_diagram,
     simple_root,
     weyl_act,
@@ -66,7 +65,7 @@ def test_lambda_examples(a3_wd):
 def test_lambda_minus_prefix_formula(a3_wd):
     d = path_diagram(3)
     for k in range(1, 7):
-        omega = fundamental_weight(d, A3_WORD[k - 1])
+        omega = simple_root(d, A3_WORD[k - 1])
         assert lambda_minus(a3_wd, k) == weyl_act(d, A3_WORD[: k - 1], omega, basis="weight")
         assert lambda_plus(a3_wd, k) == weyl_act(d, A3_WORD[:k], omega, basis="weight")
 
@@ -76,7 +75,7 @@ def test_border_chamber_weight(a3_wd):
         border = next(
             c for c in a3_wd.chambers if c.band == j and c.left_cap is None
         )
-        assert chamber_weight(3, border.label) == fundamental_weight(path_diagram(3), j)
+        assert chamber_weight(3, border.label) == simple_root(path_diagram(3), j)
 
 
 def test_five_paths_golden(a3_wd):
