@@ -8,7 +8,9 @@ occurrence of the same letter.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .cartan import (
     InvariantViolation,
@@ -150,7 +152,7 @@ class HammockGrid:
     type_index: int
     left_segment: tuple[int, ...]
     right_segment: tuple[int, ...]
-    cells: dict[tuple[int, int], int]
+    cells: Mapping[tuple[int, int], int]
 
     def cell_of(self, position: int) -> tuple[int, int]:
         for cell, pos in self.cells.items():
@@ -168,7 +170,11 @@ def grid_A(ar: ARQuiver, i: int) -> HammockGrid:
 
     The cell (k, l) with 1 <= k <= i < l <= n+1 carries the root spanning the
     interval [j_k, j_l - 1] of the segmented cycle (j_1 .. j_i | j_{i+1} .. j_{n+1}).
+    Built once per translation quiver and type; the cells are a read-only mapping.
     """
+    key = ("grid_A", i)
+    if key in ar._cache:
+        return ar._cache[key]
     q = ar.quiver
     if diagram_type(q.diagram) != "A":
         raise ValueError("hammock grids exist in type A only")
@@ -189,7 +195,8 @@ def grid_A(ar: ARQuiver, i: int) -> HammockGrid:
         raise InvariantViolation(
             "grid cells do not cover the hammock", {"type": i, "cells": cells}
         )
-    return HammockGrid(i, left, right, cells)
+    ar._cache[key] = HammockGrid(i, left, right, MappingProxyType(cells))
+    return ar._cache[key]
 
 
 def ar_dot(ar: ARQuiver) -> str:

@@ -58,15 +58,17 @@ def _emit(payload: str, out: str | None) -> None:
         sys.stdout.write(payload)
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stringcone-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stringcone-")
         with os.fdopen(fd, "w") as handle:
             handle.write(payload)
         os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _json_text(obj) -> str:
@@ -296,6 +298,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         payload, code = _dispatch(args)
+        _emit(payload, args.out)
     except (UsageError, QuiverParseError, NotReducedW0, NotAdapted, NotASink,
             NotSimplyLacedAD, verify.ConditionLFails, verify.NotTypeAInstance) as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -303,7 +306,6 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         sys.stderr.write(f"internal invariant failed: {exc}; witness: {exc.witness!r}\n")
         return 1
-    _emit(payload, args.out)
     return code
 
 

@@ -7,7 +7,11 @@ functions F_A.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import add
+from types import MappingProxyType
 
 from .arquiver import ARQuiver
 from .cartan import InvariantViolation, Vector
@@ -20,7 +24,7 @@ class Antichain:
     positions: tuple[int, ...]
 
 
-def antichains(ar: ARQuiver, i: int) -> list[Antichain]:
+def antichains(ar: ARQuiver, i: int) -> tuple[Antichain, ...]:
     """All nonempty antichains of the type-i poset, ordered by (ideal size, positions)."""
     key = ("antichains", i)
     if key not in ar._cache:
@@ -40,7 +44,7 @@ def antichains(ar: ARQuiver, i: int) -> list[Antichain]:
         extend([], 0)
         result = [Antichain(i, positions) for positions in out]
         result.sort(key=lambda a: (len(ideal(ar, a)), a.positions))
-        ar._cache[key] = result
+        ar._cache[key] = tuple(result)
     return ar._cache[key]
 
 
@@ -59,8 +63,8 @@ def cominimals(ar: ARQuiver, a: Antichain) -> tuple[int, ...]:
     """Minimal elements of the poset complement of the ideal."""
     key = ("cominimals", a)
     if key not in ar._cache:
-        ground = ar.p_set(a.type_index)
-        rest = [x for x in ground if x not in set(ideal(ar, a))]
+        members = set(ideal(ar, a))
+        rest = [x for x in ar.p_set(a.type_index) if x not in members]
         ar._cache[key] = tuple(
             x for x in rest if not any(y != x and ar.leq(y, x) for y in rest)
         )
@@ -77,12 +81,15 @@ def move(ar: ARQuiver, a: Antichain) -> Vector:
 
     A complement minimal with no translate (a projective) contributes nothing.
     """
-    vec = [0] * ar.N
-    for k in a.positions:
-        vec[k - 1] += 1
-    for k in _translated_cominimals(ar, a):
-        vec[k - 1] -= 1
-    return tuple(vec)
+    key = ("move", a)
+    if key not in ar._cache:
+        vec = [0] * ar.N
+        for k in a.positions:
+            vec[k - 1] += 1
+        for k in _translated_cominimals(ar, a):
+            vec[k - 1] -= 1
+        ar._cache[key] = tuple(vec)
+    return ar._cache[key]
 
 
 def u_vector(ar: ARQuiver, a: Antichain) -> Vector:
@@ -93,14 +100,42 @@ def u_vector(ar: ARQuiver, a: Antichain) -> Vector:
     return tuple(vec)
 
 
+def _ladder(
+    ar: ARQuiver, i: int
+) -> Mapping[Antichain, tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Per type-i antichain A, in `antichains` order: F_A as the 0-based indices
+    of t entering with sign + and with sign -, and the ideal of A as a bitmask.
+
+    F_A is the sum over the ideal of t_k minus t at the translate (zero for
+    projectives); terms that cancel inside the ideal are dropped.
+    """
+    key = ("ladder", i)
+    if key not in ar._cache:
+        table = {}
+        for a in antichains(ar, i):
+            members = ideal(ar, a)
+            plus = Counter(k - 1 for k in members)
+            minus = Counter(ar.tau[k] - 1 for k in members if k in ar.tau)
+            mask = 0
+            for k in members:
+                mask |= 1 << k
+            table[a] = (
+                tuple(sorted((plus - minus).elements())),
+                tuple(sorted((minus - plus).elements())),
+                mask,
+            )
+        ar._cache[key] = MappingProxyType(table)
+    return ar._cache[key]
+
+
+def _evaluate(plus: tuple[int, ...], minus: tuple[int, ...], t) -> int:
+    return sum(map(t.__getitem__, plus)) - sum(map(t.__getitem__, minus))
+
+
 def f_value(ar: ARQuiver, a: Antichain, t) -> int:
     """Sum over the ideal of t_k minus t at the translate (zero for projectives)."""
-    total = 0
-    for k in ideal(ar, a):
-        total += t[k - 1]
-        if k in ar.tau:
-            total -= t[ar.tau[k] - 1]
-    return total
+    plus, minus, _ = _ladder(ar, a.type_index)[a]
+    return _evaluate(plus, minus, t)
 
 
 def maximal_antichain(ar: ARQuiver, i: int, t) -> Antichain:
@@ -110,30 +145,35 @@ def maximal_antichain(ar: ARQuiver, i: int, t) -> Antichain:
     maximizer ideal; a failure (InvariantViolation) signals a non-adapted word or
     a quiver without the multiplicity-one property.
     """
-    choices = antichains(ar, i)
-    values = [f_value(ar, a, t) for a in choices]
-    zeta = max(values)
-    argmax = [a for a, v in zip(choices, values) if v == zeta]
-    union: set[int] = set()
-    for a in argmax:
-        union.update(ideal(ar, a))
-    for a in argmax:
-        if set(ideal(ar, a)) == union:
+    zeta = None
+    argmax: list[tuple[Antichain, int]] = []
+    for a, (plus, minus, mask) in _ladder(ar, i).items():
+        value = _evaluate(plus, minus, t)
+        if zeta is None or value > zeta:
+            zeta = value
+            argmax = [(a, mask)]
+        elif value == zeta:
+            argmax.append((a, mask))
+    union = 0
+    for _, mask in argmax:
+        union |= mask
+    for a, mask in argmax:
+        if mask == union:
             return a
     raise InvariantViolation(
         "maximizer antichains have no unique maximum",
-        {"type": i, "t": tuple(t), "maximizers": [a.positions for a in argmax]},
+        {"type": i, "t": tuple(t), "maximizers": [a.positions for a, _ in argmax]},
     )
 
 
 def lusztig_e(ar: ARQuiver, i: int, t) -> Vector:
     """Raising operator of type i on a multiplicity vector."""
     t = tuple(t)
-    if any(x < 0 for x in t):
+    if min(t, default=0) < 0:
         raise ValueError("multiplicity vectors must be nonnegative")
     a_max = maximal_antichain(ar, i, t)
-    out = tuple(x + m for x, m in zip(t, move(ar, a_max)))
-    if any(x < 0 for x in out):
+    out = tuple(map(add, t, move(ar, a_max)))
+    if min(out, default=0) < 0:
         raise InvariantViolation(
             "raising gave a negative multiplicity", {"type": i, "t": t, "result": out}
         )
@@ -168,8 +208,9 @@ def lusztig_weight(ar: ARQuiver, t) -> Vector:
     """Sum of t_k times the k-th root of the ordering."""
     out = [0] * ar.n
     for value, root in zip(t, ar.roots):
-        for j in range(ar.n):
-            out[j] += value * root[j]
+        if value:
+            for j, x in enumerate(root):
+                out[j] += value * x
     return tuple(out)
 
 

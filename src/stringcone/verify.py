@@ -66,6 +66,12 @@ def check_theorem_2_4(q: Quiver, word=None, strict: bool = False) -> Verificatio
         word = adapted_word(q)
     ar = arquiver.build_ar(q, word)
     wd = wiring.build_wiring(word, q.diagram.n)
+    return _theorem_2_4(ar, wd, strict)
+
+
+def _theorem_2_4(
+    ar: arquiver.ARQuiver, wd: wiring.WiringDiagram, strict: bool
+) -> VerificationReport:
     moves = lusztig.move_vectors(ar, typed=strict)
     cone = wiring.gp_cone(wd, typed=strict)
     witness = None
@@ -73,7 +79,9 @@ def check_theorem_2_4(q: Quiver, word=None, strict: bool = False) -> Verificatio
         extra_moves = sorted(moves - cone)
         extra_paths = sorted(cone - moves)
         witness = {"moves_only": extra_moves[:3], "paths_only": extra_paths[:3]}
-    return VerificationReport(_instance(q, word), "moves_equal_path_cone", moves == cone, witness)
+    return VerificationReport(
+        _instance(ar.quiver, ar.word), "moves_equal_path_cone", moves == cone, witness
+    )
 
 
 def check_cone(diagram, word, normals, box: int) -> VerificationReport:
@@ -131,8 +139,17 @@ def structural_reports(q: Quiver, word=None) -> list[VerificationReport]:
     """
     if word is None:
         word = adapted_word(q)
-    word = tuple(word)
     ar = arquiver.build_ar(q, word)
+    wd = wiring.build_wiring(word, q.diagram.n) if diagram_type(q.diagram) == "A" else None
+    return _structural(ar, wd)
+
+
+def _structural(
+    ar: arquiver.ARQuiver, wd: wiring.WiringDiagram | None
+) -> list[VerificationReport]:
+    """`structural_reports` on a built translation quiver and, in type A, the
+    wiring diagram of the same word (None otherwise)."""
+    q, word = ar.quiver, ar.word
     inst = _instance(q, word)
     d = q.diagram
     n = d.n
@@ -217,10 +234,8 @@ def structural_reports(q: Quiver, word=None) -> list[VerificationReport]:
                         bad.append(("comin-delta", i, a.positions, k))
         report("raising_witness", not bad, bad[:3] or None)
 
-    if diagram_type(d) != "A":
+    if wd is None:
         return out
-
-    wd = wiring.build_wiring(word, n)
 
     # chamber weights against the Weyl-translated fundamental weights
     bad = []
@@ -339,12 +354,13 @@ def run_suite(max_rank: int, box: int) -> SuiteSummary:
         d = path_diagram(n)
         for q in all_orientations(d):
             word = adapted_word(q)
-            summary.reports.append(check_theorem_2_4(q, word, strict=True))
             ar = arquiver.build_ar(q, word)
+            wd = wiring.build_wiring(word, n)
+            summary.reports.append(_theorem_2_4(ar, wd, strict=True))
             normals = lusztig.move_vectors(ar)
             cone = check_cone(d, word, normals, box)
             summary.reports.append(
                 VerificationReport(_instance(q, word), cone.check, cone.passed, cone.witness)
             )
-            summary.reports.extend(structural_reports(q, word))
+            summary.reports.extend(_structural(ar, wd))
     return summary

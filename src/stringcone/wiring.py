@@ -4,7 +4,9 @@ antichains for adapted words."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .arquiver import ARQuiver, grid_A
 from .cartan import InvariantViolation, Vector, path_diagram, reflection_ordering
@@ -41,6 +43,7 @@ class WiringDiagram:
     wire_route: dict[int, tuple[int, ...]]
     chambers: tuple[Chamber, ...]
     roots: tuple[Vector, ...]
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def N(self) -> int:
@@ -158,30 +161,37 @@ def wire_ascends(wd: WiringDiagram, k: int, wire: int, forward: bool) -> bool:
     return wire != upper_before if forward else wire == upper_before
 
 
-def _other_wire(wd: WiringDiagram, k: int, wire: int) -> int:
-    a, b = wd.pairs[k - 1]
-    return b if wire == a else a
+def _forbidden(wd: WiringDiagram, i: int) -> frozenset[tuple[int, int]]:
+    """The (crossing, wire) pairs a type-i path may not pass straight through:
+    both wires of the crossing travel the same way and this one ascends."""
+    key = ("forbidden", i)
+    if key not in wd._cache:
+        wd._cache[key] = frozenset(
+            (k, wire)
+            for k, (a, b) in enumerate(wd.pairs, start=1)
+            for wire, other in ((a, b), (b, a))
+            if _forward(wire, i) == _forward(other, i)
+            and wire_ascends(wd, k, wire, _forward(wire, i))
+        )
+    return wd._cache[key]
 
 
-def _forbidden_straight(wd: WiringDiagram, i: int, k: int, wire: int) -> bool:
-    other = _other_wire(wd, k, wire)
-    if _forward(wire, i) != _forward(other, i):
-        return False
-    return wire_ascends(wd, k, wire, _forward(wire, i))
-
-
-def oriented_graph(wd: WiringDiagram, i: int) -> dict[Node, list[tuple[int, Node]]]:
-    """Out-edge lists of the type-i orientation, keyed by vertex."""
-    out: dict[Node, list[tuple[int, Node]]] = {}
-    for wire in range(1, wd.n + 2):
-        nodes: list[Node] = [("l", wire), *wd.wire_route[wire], ("r", wire)]
-        if not _forward(wire, i):
-            nodes.reverse()
-        for a, b in zip(nodes, nodes[1:]):
-            out.setdefault(a, []).append((wire, b))
-    for v in out:
-        out[v].sort(key=str)
-    return out
+def oriented_graph(wd: WiringDiagram, i: int) -> Mapping[Node, tuple[tuple[int, Node], ...]]:
+    """Out-edge lists of the type-i orientation, keyed by vertex; built once per
+    diagram and type as a read-only mapping."""
+    key = ("oriented_graph", i)
+    if key not in wd._cache:
+        out: dict[Node, list[tuple[int, Node]]] = {}
+        for wire in range(1, wd.n + 2):
+            nodes: list[Node] = [("l", wire), *wd.wire_route[wire], ("r", wire)]
+            if not _forward(wire, i):
+                nodes.reverse()
+            for a, b in zip(nodes, nodes[1:]):
+                out.setdefault(a, []).append((wire, b))
+        wd._cache[key] = MappingProxyType(
+            {v: tuple(sorted(edges, key=str)) for v, edges in out.items()}
+        )
+    return wd._cache[key]
 
 
 def gp_paths(wd: WiringDiagram, i: int) -> list[GPPath]:
@@ -190,6 +200,7 @@ def gp_paths(wd: WiringDiagram, i: int) -> list[GPPath]:
     if not (1 <= i <= wd.n):
         raise ValueError(f"type index {i} out of range")
     graph = oriented_graph(wd, i)
+    forbidden = _forbidden(wd, i)
     goal: Node = ("l", i)
     found: list[GPPath] = []
 
@@ -200,7 +211,7 @@ def gp_paths(wd: WiringDiagram, i: int) -> list[GPPath]:
         if not isinstance(node, int):
             return  # wrong border vertex
         for wire, nxt in graph.get(node, ()):
-            if wire == in_wire and _forbidden_straight(wd, i, node, wire):
+            if wire == in_wire and (node, wire) in forbidden:
                 continue
             dfs(nxt, wire, crossings + (node,), wires + (wire,))
 
@@ -226,7 +237,7 @@ def is_gp_path(wd: WiringDiagram, path: GPPath) -> bool:
         out_wire = path.wires[idx + 1]
         if out_wire not in wd.pairs[k - 1]:
             return False
-        if out_wire == wire and _forbidden_straight(wd, i, k, wire):
+        if out_wire == wire and (k, wire) in _forbidden(wd, i):
             return False
         node = k
     return (path.wires[-1], ("l", i)) in graph.get(node, ())

@@ -158,6 +158,17 @@ def test_atomic_out_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert target.read_text() == D4_FIFTEEN
+
+
+@pytest.mark.parametrize("out", ["missing-dir/x", "."], ids=["missing-dir", "directory"])
+def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch, out):
+    # an output path that cannot be written is a usage error, and the
+    # temporary file of the atomic write does not stay behind
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, "roots", "--quiver", "2>1", "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write --out {out}: ")
+    assert list(tmp_path.iterdir()) == []
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".stringcone-")]
     assert not leftovers
 

@@ -13,6 +13,7 @@ from stringcone.lusztig import (
     lusztig_crystal,
     lusztig_e,
     lusztig_weight,
+    maximal_antichain,
     move,
     move_vectors,
     moves_tsv,
@@ -59,6 +60,35 @@ def test_f_values_at_paper_point(a3_ar):
     values = [f_value(a3_ar, a, T_PAPER) for a in chains]
     assert values == [1, -1, 1, -1, -2]
     assert all(f_value(a3_ar, a, (0,) * 6) == 0 for a in chains)
+
+
+def _reference_maximal(ar, i, t):
+    """The maximal antichain from the definitions: F_A is the sum over the order
+    ideal of A of t_k minus t at the translate, and among the F maximizers the
+    answer is the one whose ideal contains every other maximizer's ideal."""
+    ground = ar.p_set(i)
+    scored = []
+    for bits in range(1, 1 << len(ground)):
+        chosen = [x for b, x in enumerate(ground) if bits >> b & 1]
+        if any(x != y and ar.leq(x, y) for x in chosen for y in chosen):
+            continue
+        below = {x for x in ground if any(ar.leq(x, top) for top in chosen)}
+        value = sum(t[k - 1] - (t[ar.tau[k] - 1] if k in ar.tau else 0) for k in below)
+        scored.append((value, tuple(chosen), below))
+    zeta = max(value for value, _, _ in scored)
+    maximizers = [(chosen, below) for value, chosen, below in scored if value == zeta]
+    (top,) = [
+        chosen for chosen, below in maximizers if all(other <= below for _, other in maximizers)
+    ]
+    return top
+
+
+@given(st.sampled_from(["2>1,2>3", "1>2,3>2,3>4", "4>3,3>1,3>2"]), st.data())
+def test_maximal_antichain_matches_definition(spec, data):
+    ar = build_ar(parse_quiver(spec))
+    t = data.draw(st.lists(st.integers(0, 5), min_size=ar.N, max_size=ar.N))
+    for i in range(1, ar.n + 1):
+        assert maximal_antichain(ar, i, t).positions == _reference_maximal(ar, i, t)
 
 
 def test_raising_operator_paper_example(a3_ar):

@@ -2,10 +2,15 @@ import json
 
 import pytest
 
-from stringcone.quiver import parse_quiver
+from stringcone import verify
+from stringcone.arquiver import build_ar
+from stringcone.cartan import path_diagram
+from stringcone.lusztig import move_vectors
+from stringcone.quiver import adapted_word, all_orientations, parse_quiver
 from stringcone.verify import (
     ConditionLFails,
     NotTypeAInstance,
+    VerificationReport,
     check_cone,
     check_conjecture,
     check_theorem_2_4,
@@ -168,6 +173,34 @@ def test_suite_rank_two():
     # two orientations of the rank-two line plus the single-vertex case
     instances = {r.instance for r in summary.reports}
     assert len(instances) == 3
+
+
+def test_suite_builds_each_instance_once(monkeypatch):
+    # one translation quiver and one wiring diagram per orientation, and the
+    # same reports, row for row, as the standalone checks on each orientation
+    calls = {"build_ar": 0, "build_wiring": 0}
+    for module, name in ((verify.arquiver, "build_ar"), (verify.wiring, "build_wiring")):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    summary = run_suite(4, 0)
+    monkeypatch.undo()
+    orientations = [q for n in range(1, 5) for q in all_orientations(path_diagram(n))]
+    assert len(orientations) == 15
+    assert calls == {"build_ar": 15, "build_wiring": 15}
+    expected = []
+    for q in orientations:
+        word = adapted_word(q)
+        theorem = check_theorem_2_4(q, strict=True)
+        cone = check_cone(q.diagram, word, move_vectors(build_ar(q, word)), 0)
+        expected.append(theorem)
+        expected.append(VerificationReport(theorem.instance, cone.check, cone.passed, cone.witness))
+        expected.extend(structural_reports(q))
+    assert summary.reports == expected
 
 
 def test_suite_trivial_rank():
