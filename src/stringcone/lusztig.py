@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from operator import add
 from types import MappingProxyType
 
 from .arquiver import ARQuiver
@@ -81,15 +80,12 @@ def move(ar: ARQuiver, a: Antichain) -> Vector:
 
     A complement minimal with no translate (a projective) contributes nothing.
     """
-    key = ("move", a)
-    if key not in ar._cache:
-        vec = [0] * ar.N
-        for k in a.positions:
-            vec[k - 1] += 1
-        for k in _translated_cominimals(ar, a):
-            vec[k - 1] -= 1
-        ar._cache[key] = tuple(vec)
-    return ar._cache[key]
+    vec = [0] * ar.N
+    for k in a.positions:
+        vec[k - 1] += 1
+    for k in _translated_cominimals(ar, a):
+        vec[k - 1] -= 1
+    return tuple(vec)
 
 
 def u_vector(ar: ARQuiver, a: Antichain) -> Vector:
@@ -100,31 +96,33 @@ def u_vector(ar: ARQuiver, a: Antichain) -> Vector:
     return tuple(vec)
 
 
-def _ladder(
-    ar: ARQuiver, i: int
-) -> Mapping[Antichain, tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """Per type-i antichain A, in `antichains` order: F_A as the 0-based indices
-    of t entering with sign + and with sign -, and the ideal of A as a bitmask.
+def _row(ar: ARQuiver, a: Antichain) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """F_A as the 0-based indices of t entering with sign + and with sign -,
+    and the ideal of A as a bitmask.
 
     F_A is the sum over the ideal of t_k minus t at the translate (zero for
     projectives); terms that cancel inside the ideal are dropped.
     """
+    members = ideal(ar, a)
+    plus = Counter(k - 1 for k in members)
+    minus = Counter(ar.tau[k] - 1 for k in members if k in ar.tau)
+    mask = 0
+    for k in members:
+        mask |= 1 << k
+    return (
+        tuple(sorted((plus - minus).elements())),
+        tuple(sorted((minus - plus).elements())),
+        mask,
+    )
+
+
+def _ladder(
+    ar: ARQuiver, i: int
+) -> Mapping[Antichain, tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """`_row` of every type-i antichain, in `antichains` order."""
     key = ("ladder", i)
     if key not in ar._cache:
-        table = {}
-        for a in antichains(ar, i):
-            members = ideal(ar, a)
-            plus = Counter(k - 1 for k in members)
-            minus = Counter(ar.tau[k] - 1 for k in members if k in ar.tau)
-            mask = 0
-            for k in members:
-                mask |= 1 << k
-            table[a] = (
-                tuple(sorted((plus - minus).elements())),
-                tuple(sorted((minus - plus).elements())),
-                mask,
-            )
-        ar._cache[key] = MappingProxyType(table)
+        ar._cache[key] = MappingProxyType({a: _row(ar, a) for a in antichains(ar, i)})
     return ar._cache[key]
 
 
@@ -134,7 +132,7 @@ def _evaluate(plus: tuple[int, ...], minus: tuple[int, ...], t) -> int:
 
 def f_value(ar: ARQuiver, a: Antichain, t) -> int:
     """Sum over the ideal of t_k minus t at the translate (zero for projectives)."""
-    plus, minus, _ = _ladder(ar, a.type_index)[a]
+    plus, minus, _ = _row(ar, a)
     return _evaluate(plus, minus, t)
 
 
@@ -169,11 +167,11 @@ def maximal_antichain(ar: ARQuiver, i: int, t) -> Antichain:
 def lusztig_e(ar: ARQuiver, i: int, t) -> Vector:
     """Raising operator of type i on a multiplicity vector."""
     t = tuple(t)
-    if min(t, default=0) < 0:
+    if any(x < 0 for x in t):
         raise ValueError("multiplicity vectors must be nonnegative")
     a_max = maximal_antichain(ar, i, t)
-    out = tuple(map(add, t, move(ar, a_max)))
-    if min(out, default=0) < 0:
+    out = tuple(x + m for x, m in zip(t, move(ar, a_max)))
+    if any(x < 0 for x in out):
         raise InvariantViolation(
             "raising gave a negative multiplicity", {"type": i, "t": t, "result": out}
         )

@@ -139,16 +139,14 @@ def structural_reports(q: Quiver, word=None) -> list[VerificationReport]:
     """
     if word is None:
         word = adapted_word(q)
-    ar = arquiver.build_ar(q, word)
-    wd = wiring.build_wiring(word, q.diagram.n) if diagram_type(q.diagram) == "A" else None
-    return _structural(ar, wd)
+    return _structural(arquiver.build_ar(q, word))
 
 
 def _structural(
-    ar: arquiver.ARQuiver, wd: wiring.WiringDiagram | None
+    ar: arquiver.ARQuiver, wd: wiring.WiringDiagram | None = None
 ) -> list[VerificationReport]:
-    """`structural_reports` on a built translation quiver and, in type A, the
-    wiring diagram of the same word (None otherwise)."""
+    """`structural_reports` on a built translation quiver; in type A, `wd` is
+    the wiring diagram of the same word, built here when not given."""
     q, word = ar.quiver, ar.word
     inst = _instance(q, word)
     d = q.diagram
@@ -234,8 +232,11 @@ def _structural(
                         bad.append(("comin-delta", i, a.positions, k))
         report("raising_witness", not bad, bad[:3] or None)
 
-    if wd is None:
+    if diagram_type(d) != "A":
         return out
+
+    if wd is None:
+        wd = wiring.build_wiring(word, n)
 
     # chamber weights against the Weyl-translated fundamental weights
     bad = []

@@ -158,19 +158,21 @@ def test_atomic_out_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert target.read_text() == D4_FIFTEEN
+    leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".stringcone-")]
+    assert not leftovers
 
 
-@pytest.mark.parametrize("out", ["missing-dir/x", "."], ids=["missing-dir", "directory"])
+@pytest.mark.parametrize("out", ["missing-dir/x", "sub"], ids=["missing-dir", "directory"])
 def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch, out):
-    # an output path that cannot be written is a usage error, and the
-    # temporary file of the atomic write does not stay behind
+    # an output path that cannot be written is a usage error; a directory as
+    # target fails after the temporary file is made next to it in tmp_path,
+    # so the emptiness check sees whether that file was removed
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
     code, stdout, err = run(capsys, "roots", "--quiver", "2>1", "--out", out)
     assert (code, stdout) == (2, "")
     assert err.startswith(f"error: cannot write --out {out}: ")
-    assert list(tmp_path.iterdir()) == []
-    leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".stringcone-")]
-    assert not leftovers
+    assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
 
 
 # stdout sha256 and exit code of every README example and of every format each
