@@ -44,7 +44,6 @@ from .lusztig import (  # noqa: F401
     move_vectors,
 )
 from .strings import (  # noqa: F401
-    cone_points,
     generate_strings,
     in_cone,
     is_string,

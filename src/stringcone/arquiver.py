@@ -17,9 +17,8 @@ from .cartan import (
     Vector,
     diagram_type,
     reflection_ordering,
-    simple_root,
 )
-from .quiver import NotAdapted, Quiver, adapted_word, is_adapted, ringel_form, segmented_cycle
+from .quiver import NotAdapted, Quiver, adapted_word, hom_to_simple, is_adapted, segmented_cycle
 
 
 @dataclass(frozen=True)
@@ -62,13 +61,8 @@ class ARQuiver:
         """Positions whose module admits a nonzero map to the simple at i."""
         key = ("p_set", i)
         if key not in self._cache:
-            d = self.quiver.diagram
-            alpha = simple_root(d, i)
-            top = self.position_by_root[alpha]
             self._cache[key] = tuple(
-                k
-                for k in range(1, self.N + 1)
-                if self.leq(k, top) and ringel_form(self.quiver, self.roots[k - 1], alpha) > 0
+                k for k in range(1, self.N + 1) if hom_to_simple(self.quiver, self, k, i) > 0
             )
         return self._cache[key]
 

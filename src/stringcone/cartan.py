@@ -8,7 +8,6 @@ basis; the two bases are never mixed implicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 Vector = tuple[int, ...]
@@ -169,31 +168,6 @@ def weyl_act(d: DynkinDiagram, word, v: Vector, basis: str = "root") -> Vector:
     return v
 
 
-def alpha_to_omega(d: DynkinDiagram, v: Vector) -> Vector:
-    """Convert simple-root coordinates to fundamental-weight coordinates."""
-    cm = cartan_matrix(d)
-    return tuple(sum(cm[i][j] * v[j] for j in range(d.n)) for i in range(d.n))
-
-
-def omega_to_alpha(d: DynkinDiagram, v: Vector) -> Vector:
-    """Convert weight coordinates back to root coordinates (must land on integers)."""
-    cm = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(cartan_matrix(d), v)]
-    n = d.n
-    for col in range(n):
-        piv = next(r for r in range(col, n) if cm[r][col] != 0)
-        cm[col], cm[piv] = cm[piv], cm[col]
-        inv = 1 / cm[col][col]
-        cm[col] = [x * inv for x in cm[col]]
-        for r in range(n):
-            if r != col and cm[r][col] != 0:
-                f = cm[r][col]
-                cm[r] = [x - f * y for x, y in zip(cm[r], cm[col])]
-    out = [row[n] for row in cm]
-    if any(x.denominator != 1 for x in out):
-        raise ValueError("weight vector is not in the root lattice")
-    return tuple(int(x) for x in out)
-
-
 def pair_root_weight(root: Vector, weight: Vector) -> int:
     """Cartan pairing of a root (alpha basis) with a weight (omega basis)."""
     return sum(m * w for m, w in zip(root, weight))
@@ -225,26 +199,40 @@ def num_positive_roots(d: DynkinDiagram) -> int:
     return len(positive_roots(d))
 
 
+def times_simple(d: DynkinDiagram, images, i: int) -> tuple[Vector, ...]:
+    """The simple-root images under w s_i, given images[j - 1] = w(a_j).
+
+    w s_i(a_j) = w(a_j) - c_ij w(a_i), which for j = i is -w(a_i).
+    """
+    base = images[i - 1]
+    return tuple(
+        tuple(x - c * y for x, y in zip(img, base)) if c else img
+        for img, c in zip(images, cartan_matrix(d)[i - 1])
+    )
+
+
 def reflection_ordering(d: DynkinDiagram, word) -> tuple[Vector, ...]:
     """Total order b_1, ..., b_N on positive roots induced by a reduced word for w0.
 
-    b_k = s_{i1} ... s_{i(k-1)}(a_{ik}).  Raises NotReducedW0 unless the word
-    has length N and every b_k is a distinct positive root.
+    b_k = s_{i1} ... s_{i(k-1)}(a_{ik}), read off the simple-root images of the
+    prefix as the word is walked.  Raises NotReducedW0 unless every letter is
+    in range, the word has length N and every b_k is a distinct positive root.
     """
     word = tuple(word)
     for i in word:
-        _check_letter(d, i)
+        if not (1 <= i <= d.n):
+            raise NotReducedW0(f"letter {i} out of range 1..{d.n}")
     n_pos = num_positive_roots(d)
     if len(word) != n_pos:
         raise NotReducedW0(f"word length {len(word)} != {n_pos} positive roots")
     betas = []
-    prefix: list[int] = []
-    for i in word:
-        beta = weyl_act(d, prefix, simple_root(d, i))
+    images = tuple(simple_root(d, j) for j in range(1, d.n + 1))
+    for k, i in enumerate(word, start=1):
+        beta = images[i - 1]
         if any(x < 0 for x in beta):
-            raise NotReducedW0(f"prefix of length {len(prefix) + 1} is not reduced")
+            raise NotReducedW0(f"prefix of length {k} is not reduced")
         betas.append(beta)
-        prefix.append(i)
+        images = times_simple(d, images, i)
     if len(set(betas)) != n_pos:
         raise NotReducedW0("repeated root in the induced ordering")
     return tuple(betas)
@@ -261,22 +249,15 @@ def is_reduced_w0(d: DynkinDiagram, word) -> bool:
 @lru_cache(maxsize=None)
 def longest_word(d: DynkinDiagram) -> tuple[int, ...]:
     """A canonical reduced word for w0 (greedy smallest extendable letter)."""
-    # Track the images w(a_j) of all simple roots; appending s_i on the right
-    # maps w(a_j) to w(a_j) - c_ij w(a_i).
-    cm = cartan_matrix(d)
-    images = [simple_root(d, j) for j in range(1, d.n + 1)]
+    images = tuple(simple_root(d, j) for j in range(1, d.n + 1))
     word: list[int] = []
-    while True:
+    while len(word) <= num_positive_roots(d):  # one letter past N already fails
         ext = [i for i in range(1, d.n + 1) if all(x >= 0 for x in images[i - 1])]
         if not ext:
             break
         i = min(ext)
         word.append(i)
-        base = images[i - 1]
-        images = [
-            tuple(x - cm[i - 1][j] * y for x, y in zip(img, base)) if j != i - 1 else tuple(-x for x in base)
-            for j, img in enumerate(images)
-        ]
+        images = times_simple(d, images, i)
     if len(word) != num_positive_roots(d):
         raise InvariantViolation("greedy word for w0 has the wrong length", {"word": word})
     return tuple(word)

@@ -15,13 +15,12 @@ from .cartan import (
     InvariantViolation,
     NotSimplyLacedAD,
     Vector,
-    cartan_matrix,
     diagram_type,
     dynkin_diagram,
     num_positive_roots,
-    reflect_root,
-    reflect_weight,
     simple_root,
+    times_simple,
+    weyl_act,
 )
 
 
@@ -100,10 +99,6 @@ def is_sink(q: Quiver, i: int) -> bool:
     return all(src != i for src, _ in q.arrows)
 
 
-def sinks(q: Quiver) -> tuple[int, ...]:
-    return tuple(i for i in range(1, q.diagram.n + 1) if is_sink(q, i))
-
-
 def reflect_sink(q: Quiver, i: int) -> Quiver:
     """Reverse all arrows ending at the sink i."""
     if not (1 <= i <= q.diagram.n):
@@ -120,8 +115,7 @@ def adapted_word(q: Quiver) -> tuple[int, ...]:
     simple root keeps the prefix reduced, then reflect at it.
     """
     d = q.diagram
-    cm = cartan_matrix(d)
-    images = [simple_root(d, j) for j in range(1, d.n + 1)]
+    images = tuple(simple_root(d, j) for j in range(1, d.n + 1))
     word: list[int] = []
     cur = q
     n_pos = num_positive_roots(d)
@@ -135,13 +129,7 @@ def adapted_word(q: Quiver) -> tuple[int, ...]:
             raise InvariantViolation("no admissible sink", {"word": tuple(word)})
         word.append(pick)
         cur = reflect_sink(cur, pick)
-        base = images[pick - 1]
-        images = [
-            tuple(-x for x in base)
-            if j == pick - 1
-            else tuple(x - cm[pick - 1][j] * y for x, y in zip(img, base))
-            for j, img in enumerate(images)
-        ]
+        images = times_simple(d, images, pick)
     return tuple(word)
 
 
@@ -209,15 +197,11 @@ def sink_order(q: Quiver) -> tuple[int, ...]:
 
 def coxeter_act_root(q: Quiver, v: Vector) -> Vector:
     """Coxeter element action on a root: sink-order word, first letter innermost."""
-    for i in sink_order(q):
-        v = reflect_root(q.diagram, i, v)
-    return v
+    return weyl_act(q.diagram, sink_order(q)[::-1], v)
 
 
 def coxeter_act_weight(q: Quiver, v: Vector) -> Vector:
-    for i in sink_order(q):
-        v = reflect_weight(q.diagram, i, v)
-    return v
+    return weyl_act(q.diagram, sink_order(q)[::-1], v, basis="weight")
 
 
 def coxeter_cycle(q: Quiver) -> tuple[int, ...]:
@@ -255,18 +239,6 @@ def segmented_cycle(q: Quiver, i: int) -> tuple[tuple[int, ...], tuple[int, ...]
     raise InvariantViolation(
         "no segmented rotation of the insertion cycle", {"cycle": cyc, "i": i}
     )
-
-
-def coxeter_permutation(q: Quiver) -> tuple[int, ...]:
-    """Type A only: the Coxeter element as a permutation of 1..n+1 (images tuple)."""
-    if diagram_type(q.diagram) != "A":
-        raise NotSimplyLacedAD("permutation form is a type A construction")
-    n = q.diagram.n
-    perm = list(range(n + 2))
-    for i in sink_order(q):
-        # first sink acts innermost: post-compose with the transposition (i, i+1)
-        perm = [i + 1 if x == i else i if x == i + 1 else x for x in perm]
-    return tuple(perm[1:])
 
 
 def condition_L(q: Quiver, ar) -> bool:

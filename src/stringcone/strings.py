@@ -3,8 +3,6 @@ test, brute-force string-set generation, and integer cone point utilities."""
 
 from __future__ import annotations
 
-from itertools import product
-
 from .cartan import DynkinDiagram, Vector, cartan_matrix
 from .crystal import CrystalGraph, bfs_crystal
 
@@ -186,17 +184,11 @@ def in_cone(a, normals) -> bool:
     return True
 
 
-def cone_points(normals, box: int, dim: int) -> frozenset[tuple[int, ...]]:
-    """Integer points of the box [0..box]^dim satisfying every inequality."""
-    normals = [tuple(v) for v in normals]
-    return frozenset(a for a in product(range(box + 1), repeat=dim) if in_cone(a, normals))
-
-
 def cone_points_pruned(normals, box: int, dim: int) -> frozenset[tuple[int, ...]]:
-    """Same set as cone_points, by coordinate search with early rejection.
+    """Integer points of the box [0..box]^dim satisfying every inequality.
 
-    An inequality is checked as soon as its last supporting coordinate is
-    assigned, cutting entire subtrees of the box.
+    A coordinate search: an inequality is checked as soon as its last
+    supporting coordinate is assigned, cutting entire subtrees of the box.
     """
     normals = [tuple(v) for v in normals]
     for normal in normals:

@@ -287,14 +287,13 @@ def limiting_path(wd: WiringDiagram, i: int) -> GPPath:
 class Zones:
     type_index: int
     delta: GPPath
-    chambers: tuple[Chamber, ...]
     z_positions: frozenset[int]
     y_positions: frozenset[int]
 
 
 def zones(wd: WiringDiagram, i: int) -> Zones:
-    """Chambers below wire i and above wire i+1, with their rightmost and
-    boundary crossings and the limiting path."""
+    """The rightmost and the boundary crossings of the chambers below wire i
+    and above wire i+1, with the limiting path."""
     v_alpha = wd.crossing_of(i, i + 1)
     chosen = tuple(c for c in wd.chambers if i in c.label and (i + 1) not in c.label)
     for c in chosen:
@@ -307,14 +306,7 @@ def zones(wd: WiringDiagram, i: int) -> Zones:
     y: set[int] = set()
     for c in chosen:
         y |= chamber_corners(wd, c)
-    return Zones(i, limiting_path(wd, i), chosen, z, frozenset(y))
-
-
-def tau_wd(wd: WiringDiagram, k: int) -> int | None:
-    """Previous crossing on the same level, when there is one."""
-    level = wd.level(k)
-    prev = [j for j in range(1, k) if wd.level(j) == level]
-    return prev[-1] if prev else None
+    return Zones(i, limiting_path(wd, i), z, frozenset(y))
 
 
 def path_antichain(wd: WiringDiagram, ar: ARQuiver, path: GPPath) -> Antichain:
@@ -411,27 +403,6 @@ def wiring_dot(wd: WiringDiagram) -> str:
         nodes = [f"l{wire}", *(f"v{k}" for k in route), f"r{wire}"]
         for u, v in zip(nodes, nodes[1:]):
             lines.append(f'  {u} -- {v} [label="L{wire}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def gp_graph_dot(wd: WiringDiagram, i: int) -> str:
-    """The oriented type-i graph in graphviz form."""
-    graph = oriented_graph(wd, i)
-
-    def name(node: Node) -> str:
-        if isinstance(node, int):
-            return f"v{node}"
-        side, wire = node
-        return f"{side}{wire}"
-
-    lines = [f"digraph gp{i} {{", "  rankdir=LR;"]
-    for k in range(1, wd.N + 1):
-        a, b = wd.pairs[k - 1]
-        lines.append(f'  v{k} [label="v{a}{b}"];')
-    for node in sorted(graph, key=str):
-        for wire, nxt in graph[node]:
-            lines.append(f'  {name(node)} -> {name(nxt)} [label="L{wire}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

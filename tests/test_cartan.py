@@ -4,14 +4,13 @@ from hypothesis import given, strategies as st
 from stringcone.cartan import (
     NotReducedW0,
     NotSimplyLacedAD,
-    alpha_to_omega,
     cartan_matrix,
     d_diagram,
     diagram_type,
     dynkin_diagram,
+    is_reduced_w0,
     longest_word,
     num_positive_roots,
-    omega_to_alpha,
     path_diagram,
     positive_roots,
     reflection_ordering,
@@ -21,6 +20,10 @@ from stringcone.cartan import (
     weyl_act,
 )
 from stringcone.quiver import adapted_word, all_orientations
+
+import reference
+from reference import alpha_to_omega
+from test_verify import _adapted_words
 
 ALL_SMALL_DIAGRAMS = [path_diagram(n) for n in range(1, 7)] + [d_diagram(n) for n in (4, 5, 6)]
 
@@ -150,9 +153,12 @@ def test_reflection_ordering_is_bijection_onto_positive_roots(d):
 
 @given(st.data())
 def test_basis_conversion_roundtrip(data):
+    # the two bases are intertwined by every reflection: reflect_weight against reflect_root
     d = data.draw(st.sampled_from(ALL_SMALL_DIAGRAMS))
+    i = data.draw(st.integers(1, d.n))
     vec = tuple(data.draw(st.integers(-5, 5)) for _ in range(d.n))
-    assert omega_to_alpha(d, alpha_to_omega(d, vec)) == vec
+    got = weyl_act(d, (i,), alpha_to_omega(d, vec), basis="weight")
+    assert got == alpha_to_omega(d, weyl_act(d, (i,), vec))
 
 
 @given(st.data())
@@ -171,3 +177,34 @@ def test_pairing_consistency_on_roots():
             omega = alpha_to_omega(d, beta)
             for i in range(d.n):
                 assert omega[i] == sum(cm[i][j] * beta[j] for j in range(d.n))
+
+
+@pytest.mark.parametrize("d", ALL_SMALL_DIAGRAMS, ids=lambda d: f"{diagram_type(d)}{d.n}")
+def test_reflection_ordering_matches_prefix_action(d):
+    words = [adapted_word(q) for q in all_orientations(d)] + [longest_word(d)]
+    for w in words:
+        betas = reflection_ordering(d, w)
+        for k in range(len(w)):
+            assert betas[k] == weyl_act(d, w[:k], simple_root(d, w[k]))
+
+
+@given(st.data())
+def test_is_reduced_w0_matches_reference(data):
+    d = data.draw(st.sampled_from(ALL_SMALL_DIAGRAMS[:4] + [d_diagram(4)]))
+    N = num_positive_roots(d)
+    if data.draw(st.booleans()):
+        word = list(data.draw(st.sampled_from([adapted_word(q) for q in all_orientations(d)])))
+        for k in data.draw(st.lists(st.integers(0, N - 1), max_size=2)):
+            word[k] = data.draw(st.integers(0, d.n + 1))
+    else:
+        word = data.draw(st.lists(st.integers(1, d.n), min_size=N, max_size=N))
+    assert is_reduced_w0(d, word) == reference.is_reduced_w0(d, word)
+
+
+@pytest.mark.parametrize(
+    "d", ALL_SMALL_DIAGRAMS[:6] + [d_diagram(4), d_diagram(5)],
+    ids=lambda d: f"{diagram_type(d)}{d.n}",
+)
+def test_adapted_word_is_first_adapted_word(d):
+    for q in all_orientations(d):
+        assert adapted_word(q) == _adapted_words(q, 1)[0]

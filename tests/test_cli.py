@@ -317,6 +317,10 @@ REFUSED = [
     "verify conjecture --quiver 2>1 --box 1 --max-rank 1",
     "verify --box 1 suite",
     "verify theorem",
+    "roots --quiver 2>1 --word 3,1,2",
+    "roots --quiver 2>1 --word=0,1,2",
+    "verify theorem --quiver 2>1 --word 3,1,2",
+    "verify conjecture --quiver 2>1 --word 3,1,2",
 ]
 
 

@@ -10,7 +10,6 @@ from stringcone.arquiver import build_ar
 from stringcone.quiver import adapted_word, all_orientations, parse_quiver
 from stringcone.strings import (
     LetterAbsent,
-    cone_points,
     cone_points_pruned,
     generate_strings,
     in_cone,
@@ -24,6 +23,8 @@ from stringcone.strings import (
     string_weight,
     strings_in_box,
 )
+
+from reference import cone_points
 
 D2 = path_diagram(2)
 W2 = (1, 2, 1)

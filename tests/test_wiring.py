@@ -15,7 +15,6 @@ from stringcone.wiring import (
     build_wiring,
     chamber_weight,
     gp_cone,
-    gp_graph_dot,
     gp_paths,
     is_gp_path,
     k_vector,
@@ -25,7 +24,6 @@ from stringcone.wiring import (
     oriented_graph,
     path_antichain,
     paths_json,
-    tau_wd,
     wiring_dot,
     zones,
 )
@@ -145,8 +143,10 @@ def test_zone_positions_match_p_sets(a3_wd, a3_ar):
 
 
 def test_translation_on_crossings(a3_wd, a3_ar):
+    word = a3_wd.word
     for k in range(1, 7):
-        assert tau_wd(a3_wd, k) == a3_ar.tau.get(k)
+        prev = [j for j in range(1, k) if word[j - 1] == word[k - 1]]
+        assert (prev[-1] if prev else None) == a3_ar.tau.get(k)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -220,8 +220,6 @@ def test_dot_and_json_exports(a3_wd):
     dot = wiring_dot(a3_wd)
     assert dot.startswith("graph wiring {")
     assert 'v3 [label="v14"];' in dot
-    gdot = gp_graph_dot(a3_wd, 2)
-    assert gdot.startswith("digraph gp2 {")
     rows = paths_json(a3_wd, 2)
     assert len(rows) == 5
     assert {"type": 2, "crossings": [2, 5, 3, 4, 1], "k": [0, 0, -1, 1, 1, 0]} in rows
