@@ -57,14 +57,21 @@ class ARQuiver:
         """Positions whose root involves the simple root at i."""
         return tuple(k for k in range(1, self.N + 1) if self.roots[k - 1][i - 1] > 0)
 
+    def hom_table(self) -> tuple[tuple[int, ...], ...]:
+        """Row k-1, column i-1: dim Hom from the module at position k to the
+        simple at i (`quiver.hom_to_simple`), filled once per translation quiver."""
+        if "hom" not in self._cache:
+            self._cache["hom"] = tuple(
+                tuple(hom_to_simple(self.quiver, self, k, i) for i in range(1, self.n + 1))
+                for k in range(1, self.N + 1)
+            )
+        return self._cache["hom"]
+
     def p_set(self, i: int) -> tuple[int, ...]:
         """Positions whose module admits a nonzero map to the simple at i."""
-        key = ("p_set", i)
-        if key not in self._cache:
-            self._cache[key] = tuple(
-                k for k in range(1, self.N + 1) if hom_to_simple(self.quiver, self, k, i) > 0
-            )
-        return self._cache[key]
+        if not 1 <= i <= self.n:
+            raise ValueError(f"type index {i} out of range 1..{self.n}")
+        return tuple(k for k, row in enumerate(self.hom_table(), start=1) if row[i - 1] > 0)
 
 
 def build_ar(q: Quiver, word=None) -> ARQuiver:
@@ -72,7 +79,7 @@ def build_ar(q: Quiver, word=None) -> ARQuiver:
         word = adapted_word(q)
     word = tuple(word)
     if not is_adapted(word, q):
-        raise NotAdapted(f"word {word} is not adapted to the quiver")
+        raise NotAdapted(f"word {','.join(map(str, word))} is not adapted to the quiver")
     roots = reflection_ordering(q.diagram, word)
     adjacent = {tuple(sorted(e)) for e in q.diagram.edges}
     N = len(word)

@@ -22,7 +22,7 @@ from .cartan import (
     is_reduced_w0,
     reflection_ordering,
 )
-from .quiver import NotAdapted, NotASink, QuiverParseError, adapted_word, is_adapted, parse_quiver
+from .quiver import NotAdapted, NotASink, QuiverParseError, adapted_word, parse_quiver
 
 
 class UsageError(ValueError):
@@ -39,13 +39,6 @@ def _parse_word(q, text: str):
     if not is_reduced_w0(q.diagram, word):
         raise UsageError(f"word {text!r} is not a reduced expression of the longest element")
     return word
-
-
-def _require_adapted(word, q):
-    if not is_adapted(word, q):
-        raise UsageError(
-            f"word {','.join(map(str, word))} is not adapted to quiver; this command needs an adapted word"
-        )
 
 
 def _require_type_a(q):
@@ -171,7 +164,6 @@ def _dispatch(args) -> tuple[str, int]:
         return "\n".join(lines) + "\n", 0
 
     if args.command == "ar":
-        _require_adapted(word, q)
         ar = arquiver.build_ar(q, word)
         if args.fmt == "json":
             payload = {
@@ -184,7 +176,6 @@ def _dispatch(args) -> tuple[str, int]:
         return arquiver.ar_dot(ar), 0
 
     if args.command == "hammock":
-        _require_adapted(word, q)
         ar = arquiver.build_ar(q, word)
         i = args.type_index
         payload = {
@@ -201,7 +192,6 @@ def _dispatch(args) -> tuple[str, int]:
         return _json_text(payload), 0
 
     if args.command == "moves":
-        _require_adapted(word, q)
         ar = arquiver.build_ar(q, word)
         if args.fmt == "json":
             return _json_text(lusztig.moves_json(ar)), 0
@@ -224,7 +214,6 @@ def _dispatch(args) -> tuple[str, int]:
             wd = wiring.build_wiring(word, q.diagram.n)
             typed = [(i, vec) for i, _, vec in wiring.gp_table(wd)]
         else:
-            _require_adapted(word, q)
             ar = arquiver.build_ar(q, word)
             moves = lusztig.all_moves(ar)
             typed = [(a.type_index, vec) for a, vec in moves]
@@ -244,7 +233,6 @@ def _dispatch(args) -> tuple[str, int]:
 
     if args.command == "crystal":
         if args.param == "lusztig":
-            _require_adapted(word, q)
             graph = lusztig.lusztig_crystal(arquiver.build_ar(q, word), args.depth)
         else:
             graph = strings.string_crystal(q.diagram, word, args.depth)

@@ -11,7 +11,6 @@ class CrystalGraph:
     source: tuple[int, ...]
     vertices: frozenset[tuple[int, ...]]
     edges: frozenset[tuple[tuple[int, ...], int, tuple[int, ...]]]
-    depth: int
 
 
 def bfs_crystal(source, types, step, depth: int) -> CrystalGraph:
@@ -34,7 +33,7 @@ def bfs_crystal(source, types, step, depth: int) -> CrystalGraph:
             if w not in dist:
                 dist[w] = dist[v] + 1
                 queue.append(w)
-    return CrystalGraph(source, frozenset(dist), frozenset(edges), depth)
+    return CrystalGraph(source, frozenset(dist), frozenset(edges))
 
 
 def same_labelled_graph(g1: CrystalGraph, g2: CrystalGraph) -> bool:

@@ -3,6 +3,10 @@
 For an adapted word, the raising operator of type i acts by adding the move
 vector of the unique maximal antichain attaining the maximum of the ladder
 functions F_A.
+
+Each type's antichains and their data form one table per translation quiver.
+The readers `ideal`, `cominimals`, `move`, `u_vector` and `f_value` look an
+antichain up there and raise ValueError for one not in `antichains(ar, i)`.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .arquiver import ARQuiver
 from .cartan import InvariantViolation, Vector
@@ -23,8 +28,26 @@ class Antichain:
     positions: tuple[int, ...]
 
 
-def antichains(ar: ARQuiver, i: int) -> tuple[Antichain, ...]:
-    """All nonempty antichains of the type-i poset, ordered by (ideal size, positions)."""
+class _Entry(NamedTuple):
+    """One antichain A of a type table, with its F_A row: F_A(t) is the sum of t
+    over `plus` minus the sum over `minus` (0-based indices)."""
+
+    ideal: tuple[int, ...]
+    cominimals: tuple[int, ...]
+    move: Vector
+    plus: tuple[int, ...]
+    minus: tuple[int, ...]
+    mask: int  # the ideal as a bitmask
+
+
+def _table(ar: ARQuiver, i: int) -> Mapping[Antichain, _Entry]:
+    """Every nonempty antichain of the type-i poset with its entry, ordered by
+    (ideal size, positions); built once per translation quiver and type.
+
+    The move is +1 on A and -1 on the translates of the complement minimals (a
+    projective has no translate). F_A is the sum over the ideal of t_k minus t
+    at the translate; terms that cancel inside the ideal are dropped.
+    """
     key = ("antichains", i)
     if key not in ar._cache:
         ground = ar.p_set(i)
@@ -41,33 +64,52 @@ def antichains(ar: ARQuiver, i: int) -> tuple[Antichain, ...]:
                     chosen.pop()
 
         extend([], 0)
-        result = [Antichain(i, positions) for positions in out]
-        result.sort(key=lambda a: (len(ideal(ar, a)), a.positions))
-        ar._cache[key] = tuple(result)
+        entries = {}
+        for positions in out:
+            members = tuple(x for x in ground if any(ar.leq(x, top) for top in positions))
+            rest = [x for x in ground if x not in members]
+            comin = tuple(x for x in rest if not any(y != x and ar.leq(y, x) for y in rest))
+            vec = [0] * ar.N
+            for k in positions:
+                vec[k - 1] += 1
+            for k in comin:
+                if k in ar.tau:
+                    vec[ar.tau[k] - 1] -= 1
+            plus = Counter(k - 1 for k in members)
+            minus = Counter(ar.tau[k] - 1 for k in members if k in ar.tau)
+            entries[Antichain(i, positions)] = _Entry(
+                members,
+                comin,
+                tuple(vec),
+                tuple(sorted((plus - minus).elements())),
+                tuple(sorted((minus - plus).elements())),
+                sum(1 << k for k in members),
+            )
+        order = sorted(entries, key=lambda a: (len(entries[a].ideal), a.positions))
+        ar._cache[key] = MappingProxyType({a: entries[a] for a in order})
     return ar._cache[key]
+
+
+def _entry(ar: ARQuiver, a: Antichain) -> _Entry:
+    entry = _table(ar, a.type_index).get(a) if 1 <= a.type_index <= ar.n else None
+    if entry is None:
+        raise ValueError(f"{a} is not among the antichains of its type")
+    return entry
+
+
+def antichains(ar: ARQuiver, i: int) -> tuple[Antichain, ...]:
+    """All nonempty antichains of the type-i poset, ordered by (ideal size, positions)."""
+    return tuple(_table(ar, i))
 
 
 def ideal(ar: ARQuiver, a: Antichain) -> tuple[int, ...]:
     """Order ideal generated by the antichain inside its poset."""
-    key = ("ideal", a)
-    if key not in ar._cache:
-        ground = ar.p_set(a.type_index)
-        ar._cache[key] = tuple(
-            x for x in ground if any(ar.leq(x, top) for top in a.positions)
-        )
-    return ar._cache[key]
+    return _entry(ar, a).ideal
 
 
 def cominimals(ar: ARQuiver, a: Antichain) -> tuple[int, ...]:
     """Minimal elements of the poset complement of the ideal."""
-    key = ("cominimals", a)
-    if key not in ar._cache:
-        members = set(ideal(ar, a))
-        rest = [x for x in ar.p_set(a.type_index) if x not in members]
-        ar._cache[key] = tuple(
-            x for x in rest if not any(y != x and ar.leq(y, x) for y in rest)
-        )
-    return ar._cache[key]
+    return _entry(ar, a).cominimals
 
 
 def _translated_cominimals(ar: ARQuiver, a: Antichain) -> list[int]:
@@ -80,12 +122,7 @@ def move(ar: ARQuiver, a: Antichain) -> Vector:
 
     A complement minimal with no translate (a projective) contributes nothing.
     """
-    vec = [0] * ar.N
-    for k in a.positions:
-        vec[k - 1] += 1
-    for k in _translated_cominimals(ar, a):
-        vec[k - 1] -= 1
-    return tuple(vec)
+    return _entry(ar, a).move
 
 
 def u_vector(ar: ARQuiver, a: Antichain) -> Vector:
@@ -96,44 +133,14 @@ def u_vector(ar: ARQuiver, a: Antichain) -> Vector:
     return tuple(vec)
 
 
-def _row(ar: ARQuiver, a: Antichain) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """F_A as the 0-based indices of t entering with sign + and with sign -,
-    and the ideal of A as a bitmask.
-
-    F_A is the sum over the ideal of t_k minus t at the translate (zero for
-    projectives); terms that cancel inside the ideal are dropped.
-    """
-    members = ideal(ar, a)
-    plus = Counter(k - 1 for k in members)
-    minus = Counter(ar.tau[k] - 1 for k in members if k in ar.tau)
-    mask = 0
-    for k in members:
-        mask |= 1 << k
-    return (
-        tuple(sorted((plus - minus).elements())),
-        tuple(sorted((minus - plus).elements())),
-        mask,
-    )
-
-
-def _ladder(
-    ar: ARQuiver, i: int
-) -> Mapping[Antichain, tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """`_row` of every type-i antichain, in `antichains` order."""
-    key = ("ladder", i)
-    if key not in ar._cache:
-        ar._cache[key] = MappingProxyType({a: _row(ar, a) for a in antichains(ar, i)})
-    return ar._cache[key]
-
-
 def _evaluate(plus: tuple[int, ...], minus: tuple[int, ...], t) -> int:
     return sum(map(t.__getitem__, plus)) - sum(map(t.__getitem__, minus))
 
 
 def f_value(ar: ARQuiver, a: Antichain, t) -> int:
     """Sum over the ideal of t_k minus t at the translate (zero for projectives)."""
-    plus, minus, _ = _row(ar, a)
-    return _evaluate(plus, minus, t)
+    e = _entry(ar, a)
+    return _evaluate(e.plus, e.minus, t)
 
 
 def maximal_antichain(ar: ARQuiver, i: int, t) -> Antichain:
@@ -145,13 +152,13 @@ def maximal_antichain(ar: ARQuiver, i: int, t) -> Antichain:
     """
     zeta = None
     argmax: list[tuple[Antichain, int]] = []
-    for a, (plus, minus, mask) in _ladder(ar, i).items():
-        value = _evaluate(plus, minus, t)
+    for a, e in _table(ar, i).items():
+        value = _evaluate(e.plus, e.minus, t)
         if zeta is None or value > zeta:
             zeta = value
-            argmax = [(a, mask)]
+            argmax = [(a, e.mask)]
         elif value == zeta:
-            argmax.append((a, mask))
+            argmax.append((a, e.mask))
     union = 0
     for _, mask in argmax:
         union |= mask
@@ -181,11 +188,7 @@ def lusztig_e(ar: ARQuiver, i: int, t) -> Vector:
 def all_moves(ar: ARQuiver) -> list[tuple[Antichain, Vector]]:
     """Every antichain move of every type, in canonical order (crystal moves
     only where `quiver.condition_L` holds, which callers that need it check)."""
-    out = []
-    for i in range(1, ar.n + 1):
-        for a in antichains(ar, i):
-            out.append((a, move(ar, a)))
-    return out
+    return [(a, e.move) for i in range(1, ar.n + 1) for a, e in _table(ar, i).items()]
 
 
 def move_vectors(ar: ARQuiver, typed: bool = False) -> frozenset:

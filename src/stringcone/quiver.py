@@ -244,16 +244,12 @@ def segmented_cycle(q: Quiver, i: int) -> tuple[tuple[int, ...], tuple[int, ...]
 def condition_L(q: Quiver, ar) -> bool:
     """Every indecomposable maps to each simple with multiplicity at most one.
 
-    Tested through the homological form: the map space dimension from the
-    module of root b to the simple at i is (b, a_i)_R when the module precedes
-    the simple in the translation quiver order, and 0 otherwise.
+    Read from the table of `hom_to_simple` values of `ar`, the translation
+    quiver of `q`: the map space dimension from the module of root b to the
+    simple at i is (b, a_i)_R when the module precedes the simple in the
+    translation quiver order, and 0 otherwise.
     """
-    d = q.diagram
-    for k in range(1, ar.N + 1):
-        for i in range(1, d.n + 1):
-            if hom_to_simple(q, ar, k, i) > 1:
-                return False
-    return True
+    return all(x <= 1 for row in ar.hom_table() for x in row)
 
 
 def hom_to_simple(q: Quiver, ar, k: int, i: int) -> int:

@@ -22,7 +22,6 @@ from .quiver import (
     condition_L,
     coxeter_act_root,
     coxeter_act_weight,
-    hom_to_simple,
     phi_R,
     quiver_spec,
     rho,
@@ -195,9 +194,9 @@ def _structural(
     report("ordering_refines_paths", not bad, bad[:3] or None)
     bad = [
         (k, i)
-        for k in range(1, ar.N + 1)
-        for i in range(1, n + 1)
-        if hom_to_simple(q, ar, k, i) < 0
+        for k, row in enumerate(ar.hom_table(), start=1)
+        for i, dim in enumerate(row, start=1)
+        if dim < 0
     ]
     report("hom_nonnegative", not bad, bad[:3] or None)
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .arquiver import ARQuiver, grid_A
 from .cartan import InvariantViolation, Vector, path_diagram, reflection_ordering
@@ -42,7 +43,6 @@ class WiringDiagram:
     occupancy: tuple[tuple[int, ...], ...]  # wires per track, per gap 0..N
     wire_route: dict[int, tuple[int, ...]]
     chambers: tuple[Chamber, ...]
-    roots: tuple[Vector, ...]
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -113,7 +113,6 @@ def build_wiring(word, n: int) -> WiringDiagram:
         occupancy=tuple(occupancy),
         wire_route={j: tuple(r) for j, r in route.items()},
         chambers=tuple(chambers),
-        roots=roots,
     )
 
 
@@ -161,46 +160,38 @@ def wire_ascends(wd: WiringDiagram, k: int, wire: int, forward: bool) -> bool:
     return wire != upper_before if forward else wire == upper_before
 
 
-def _forbidden(wd: WiringDiagram, i: int) -> frozenset[tuple[int, int]]:
-    """The (crossing, wire) pairs a type-i path may not pass straight through:
-    both wires of the crossing travel the same way and this one ascends."""
-    key = ("forbidden", i)
-    if key not in wd._cache:
-        wd._cache[key] = frozenset(
-            (k, wire)
-            for k, (a, b) in enumerate(wd.pairs, start=1)
-            for wire, other in ((a, b), (b, a))
-            if _forward(wire, i) == _forward(other, i)
-            and wire_ascends(wd, k, wire, _forward(wire, i))
-        )
-    return wd._cache[key]
+class _TypeTable(NamedTuple):
+    graph: Mapping[Node, tuple[tuple[int, Node], ...]]
+    forbidden: frozenset[tuple[int, int]]
+    paths: tuple[GPPath, ...]
 
 
-def oriented_graph(wd: WiringDiagram, i: int) -> Mapping[Node, tuple[tuple[int, Node], ...]]:
-    """Out-edge lists of the type-i orientation, keyed by vertex; built once per
-    diagram and type as a read-only mapping."""
-    key = ("oriented_graph", i)
-    if key not in wd._cache:
-        out: dict[Node, list[tuple[int, Node]]] = {}
-        for wire in range(1, wd.n + 2):
-            nodes: list[Node] = [("l", wire), *wd.wire_route[wire], ("r", wire)]
-            if not _forward(wire, i):
-                nodes.reverse()
-            for a, b in zip(nodes, nodes[1:]):
-                out.setdefault(a, []).append((wire, b))
-        wd._cache[key] = MappingProxyType(
-            {v: tuple(sorted(edges, key=str)) for v, edges in out.items()}
-        )
-    return wd._cache[key]
-
-
-def gp_paths(wd: WiringDiagram, i: int) -> list[GPPath]:
-    """All paths from the entry border vertex of type i to its exit vertex that
-    never pass straight through a same-direction crossing on the ascending wire."""
+def _table(wd: WiringDiagram, i: int) -> _TypeTable:
+    """The type-i orientation, built once per diagram and type: out-edge lists
+    keyed by vertex, the (crossing, wire) pairs a path may not pass straight
+    through (both wires of the crossing travel the same way and this one
+    ascends), and every path from the entry border vertex to the exit vertex
+    that avoids them, sorted."""
     if not (1 <= i <= wd.n):
         raise ValueError(f"type index {i} out of range")
-    graph = oriented_graph(wd, i)
-    forbidden = _forbidden(wd, i)
+    key = ("type", i)
+    if key in wd._cache:
+        return wd._cache[key]
+    out: dict[Node, list[tuple[int, Node]]] = {}
+    for wire in range(1, wd.n + 2):
+        nodes: list[Node] = [("l", wire), *wd.wire_route[wire], ("r", wire)]
+        if not _forward(wire, i):
+            nodes.reverse()
+        for a, b in zip(nodes, nodes[1:]):
+            out.setdefault(a, []).append((wire, b))
+    graph = {v: tuple(sorted(edges, key=str)) for v, edges in out.items()}
+    forbidden = frozenset(
+        (k, wire)
+        for k, (a, b) in enumerate(wd.pairs, start=1)
+        for wire, other in ((a, b), (b, a))
+        if _forward(wire, i) == _forward(other, i)
+        and wire_ascends(wd, k, wire, _forward(wire, i))
+    )
     goal: Node = ("l", i)
     found: list[GPPath] = []
 
@@ -218,17 +209,30 @@ def gp_paths(wd: WiringDiagram, i: int) -> list[GPPath]:
     ((first_wire, first_node),) = graph[("l", i + 1)]
     dfs(first_node, first_wire, (), (first_wire,))
     found.sort(key=lambda p: (p.crossings, p.wires))
-    return found
+    wd._cache[key] = _TypeTable(MappingProxyType(graph), forbidden, tuple(found))
+    return wd._cache[key]
+
+
+def oriented_graph(wd: WiringDiagram, i: int) -> Mapping[Node, tuple[tuple[int, Node], ...]]:
+    """Out-edge lists of the type-i orientation, keyed by vertex, as a
+    read-only mapping."""
+    return _table(wd, i).graph
+
+
+def gp_paths(wd: WiringDiagram, i: int) -> tuple[GPPath, ...]:
+    """All paths from the entry border vertex of type i to its exit vertex that
+    never pass straight through a same-direction crossing on the ascending wire."""
+    return _table(wd, i).paths
 
 
 def is_gp_path(wd: WiringDiagram, path: GPPath) -> bool:
     """Validate endpoints, edge orientation, and absence of forbidden crossings."""
     i = path.type_index
-    if len(path.wires) != len(path.crossings) + 1:
+    if not (1 <= i <= wd.n) or len(path.wires) != len(path.crossings) + 1:
         return False
     if path.wires[0] != i + 1 or path.wires[-1] != i:
         return False
-    graph = oriented_graph(wd, i)
+    graph, forbidden, _ = _table(wd, i)
     node: Node = ("l", i + 1)
     for idx, k in enumerate(path.crossings):
         wire = path.wires[idx]
@@ -237,7 +241,7 @@ def is_gp_path(wd: WiringDiagram, path: GPPath) -> bool:
         out_wire = path.wires[idx + 1]
         if out_wire not in wd.pairs[k - 1]:
             return False
-        if out_wire == wire and (k, wire) in _forbidden(wd, i):
+        if out_wire == wire and (k, wire) in forbidden:
             return False
         node = k
     return (path.wires[-1], ("l", i)) in graph.get(node, ())
@@ -285,7 +289,6 @@ def limiting_path(wd: WiringDiagram, i: int) -> GPPath:
 
 @dataclass(frozen=True)
 class Zones:
-    type_index: int
     delta: GPPath
     z_positions: frozenset[int]
     y_positions: frozenset[int]
@@ -306,7 +309,7 @@ def zones(wd: WiringDiagram, i: int) -> Zones:
     y: set[int] = set()
     for c in chosen:
         y |= chamber_corners(wd, c)
-    return Zones(i, limiting_path(wd, i), z, frozenset(y))
+    return Zones(limiting_path(wd, i), z, frozenset(y))
 
 
 def path_antichain(wd: WiringDiagram, ar: ARQuiver, path: GPPath) -> Antichain:
@@ -320,7 +323,7 @@ def path_antichain(wd: WiringDiagram, ar: ARQuiver, path: GPPath) -> Antichain:
         if h > i and l <= i:
             turns.append(k)
     positions = tuple(sorted(turns))
-    if not set(positions) <= set(ar.p_set(i)):
+    if any(ar.hom_table()[k - 1][i - 1] <= 0 for k in positions):
         raise InvariantViolation("path turns outside the hammock", {"type": i, "turns": positions})
     return Antichain(i, positions)
 

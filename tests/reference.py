@@ -15,7 +15,7 @@ from stringcone.cartan import (
     positive_roots,
     weyl_act,
 )
-from stringcone.quiver import sink_order
+from stringcone.quiver import hom_to_simple, sink_order
 
 
 def cone_points(normals, box: int, dim: int) -> frozenset[tuple[int, ...]]:
@@ -52,3 +52,28 @@ def is_reduced_w0(d, word) -> bool:
     if len(word) != num_positive_roots(d) or not all(1 <= i <= d.n for i in word):
         return False
     return all(all(x <= 0 for x in weyl_act(d, word, beta)) for beta in positive_roots(d))
+
+
+def _poset(ar, i) -> list[int]:
+    """Positions whose module has a nonzero map to the simple at i."""
+    return [k for k in range(1, ar.N + 1) if hom_to_simple(ar.quiver, ar, k, i) > 0]
+
+
+def ideal(ar, a) -> tuple[int, ...]:
+    """Elements of the type poset lying below some element of the antichain."""
+    return tuple(x for x in _poset(ar, a.type_index) if any(ar.leq(x, top) for top in a.positions))
+
+
+def cominimals(ar, a) -> tuple[int, ...]:
+    """Elements outside the ideal with nothing else outside the ideal below them."""
+    below = set(ideal(ar, a))
+    rest = [x for x in _poset(ar, a.type_index) if x not in below]
+    return tuple(x for x in rest if all(y == x or not ar.leq(y, x) for y in rest))
+
+
+def move(ar, a) -> tuple[int, ...]:
+    """+1 on the antichain, -1 on the translate of each complement minimal that has one."""
+    return tuple(
+        (k in a.positions) - sum(ar.tau.get(m) == k for m in cominimals(ar, a))
+        for k in range(1, ar.N + 1)
+    )

@@ -1,10 +1,14 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from stringcone.arquiver import build_ar
-from stringcone.cartan import path_diagram
+from stringcone.cartan import d_diagram, path_diagram
 from stringcone.crystal import same_labelled_graph
 from stringcone.lusztig import (
+    Antichain,
     all_moves,
     antichains,
     cominimals,
@@ -19,7 +23,7 @@ from stringcone.lusztig import (
     moves_tsv,
     u_vector,
 )
-from stringcone.quiver import all_orientations, parse_quiver
+from stringcone.quiver import all_orientations, condition_L, parse_quiver
 
 T_PAPER = (3, 2, 1, 1, 2, 0)
 
@@ -53,6 +57,54 @@ def test_chain_poset_has_singleton_antichains():
     )
     assert chain
     assert len(antichains(ar, 4)) == len(ground)
+
+
+def _table_instances():
+    type_a = [q for n in range(1, 5) for q in all_orientations(path_diagram(n))]
+    type_d = [q for q in all_orientations(d_diagram(4)) if condition_L(q, build_ar(q))]
+    return type_a + type_d
+
+
+@pytest.mark.parametrize("q", _table_instances(), ids=lambda q: ",".join(map(str, q.arrows)))
+def test_antichain_table_matches_definitions(q):
+    ar = build_ar(q)
+    for i in range(1, ar.n + 1):
+        ground = ar.p_set(i)
+        subsets = [
+            tuple(x for b, x in enumerate(ground) if bits >> b & 1)
+            for bits in range(1, 1 << len(ground))
+        ]
+        expected = {
+            s for s in subsets if not any(x != y and ar.leq(x, y) for x in s for y in s)
+        }
+        chains = antichains(ar, i)
+        assert {a.positions for a in chains} == expected and len(chains) == len(expected)
+        for a in chains:
+            assert ideal(ar, a) == reference.ideal(ar, a)
+            assert cominimals(ar, a) == reference.cominimals(ar, a)
+            assert move(ar, a) == reference.move(ar, a)
+            # F_A is linear: its value on the unit vectors is its coefficient row
+            coefficients = [0] * ar.N
+            for k in reference.ideal(ar, a):
+                coefficients[k - 1] += 1
+                if k in ar.tau:
+                    coefficients[ar.tau[k] - 1] -= 1
+            units = [tuple(int(j == k) for j in range(ar.N)) for k in range(ar.N)]
+            assert [f_value(ar, a, e) for e in units] == coefficients
+
+
+def test_lookup_rejects_antichains_outside_the_table(a3_ar):
+    outside = [
+        Antichain(2, (5, 4)),  # unsorted positions
+        Antichain(1, (4, 5)),  # an antichain of type 2, not of type 1
+        Antichain(2, (3, 4)),  # 3 lies below 4
+        Antichain(9, (1,)),  # no such type
+    ]
+    for a in outside:
+        readers = [ideal, cominimals, move, u_vector, lambda ar, a: f_value(ar, a, (0,) * 6)]
+        for reader in readers:
+            with pytest.raises(ValueError, match=re.escape(repr(a))):
+                reader(a3_ar, a)
 
 
 def test_f_values_at_paper_point(a3_ar):

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from stringcone import verify
+from stringcone import quiver, verify
 from stringcone.arquiver import build_ar
 from stringcone.cartan import path_diagram
 from stringcone.lusztig import move_vectors
@@ -17,7 +18,7 @@ from stringcone.verify import (
     run_suite,
     structural_reports,
 )
-from stringcone.wiring import build_wiring, gp_cone
+from stringcone.wiring import build_wiring, gp_cone, gp_paths
 
 
 def test_theorem_a2():
@@ -201,6 +202,33 @@ def test_suite_builds_each_instance_once(monkeypatch):
         expected.append(VerificationReport(theorem.instance, cone.check, cone.passed, cone.witness))
         expected.extend(structural_reports(q))
     assert summary.reports == expected
+
+
+def test_suite_fills_each_hom_table_once(monkeypatch):
+    # one map-to-simple dimension per (position, type) pair of each orientation:
+    # 1 + 2*3*2 + 4*6*3 + 8*10*4 = 405 on ranks 1-4; every module binding of
+    # hom_to_simple is counted, however it is imported
+    original = quiver.hom_to_simple
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stringcone":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    run_suite(4, 0)
+    monkeypatch.undo()
+    assert len(calls) == 405
+
+
+def test_paths_enumerated_once_per_type():
+    wd = build_wiring(adapted_word(parse_quiver("1>2,3>2,3>4")), 4)
+    for i in range(1, 5):
+        assert gp_paths(wd, i) is gp_paths(wd, i)
 
 
 def test_suite_trivial_rank():
