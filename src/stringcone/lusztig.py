@@ -4,16 +4,21 @@ For an adapted word, the raising operator of type i acts by adding the move
 vector of the unique maximal antichain attaining the maximum of the ladder
 functions F_A.
 
-Each type's antichains and their data form one table per translation quiver.
+Each type's antichains and their data form one table per translation quiver,
+in (ideal size, positions) order.  Removing an antichain's last position from
+its ideal leaves the ideal of an earlier antichain, or nothing, so each F_A is
+an earlier F plus one term: `maximal_antichain` evaluates every F_A of a type
+in one pass along these ladder steps, while `f_value` sums over the ideal.
 The readers `ideal`, `cominimals`, `move`, `u_vector` and `f_value` look an
-antichain up there and raise ValueError for one not in `antichains(ar, i)`.
+antichain up in the table and raise ValueError for one not in
+`antichains(ar, i)`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import add
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -29,69 +34,93 @@ class Antichain:
 
 
 class _Entry(NamedTuple):
-    """One antichain A of a type table, with its F_A row: F_A(t) is the sum of t
-    over `plus` minus the sum over `minus` (0-based indices)."""
+    """One antichain A of a type table: its order ideal, complement minimals and
+    move vector, and the ideal as a bitmask (bit k for position k)."""
 
     ideal: tuple[int, ...]
     cominimals: tuple[int, ...]
     move: Vector
-    plus: tuple[int, ...]
-    minus: tuple[int, ...]
-    mask: int  # the ideal as a bitmask
+    mask: int
 
 
-def _table(ar: ARQuiver, i: int) -> Mapping[Antichain, _Entry]:
-    """Every nonempty antichain of the type-i poset with its entry, ordered by
-    (ideal size, positions); built once per translation quiver and type.
+class _TypeTable(NamedTuple):
+    """The antichains of one type in (ideal size, positions) order, each with its
+    entry and its ladder step (parent, x, tx).
 
-    The move is +1 on A and -1 on the translates of the complement minimals (a
-    projective has no translate). F_A is the sum over the ideal of t_k minus t
-    at the translate; terms that cancel inside the ideal are dropped.
+    x is the 0-based index of A's last position, a maximal element of A's
+    ideal; tx is that of its translate, or -1 for a projective.  Removing the
+    position from the ideal leaves the ideal of the antichain at index `parent`,
+    or nothing (-1), so F_A(t) = F_parent(t) + t[x] - t[tx].
+    """
+
+    entries: Mapping[Antichain, _Entry]
+    steps: tuple[tuple[int, int, int], ...]
+
+
+def _table(ar: ARQuiver, i: int) -> _TypeTable:
+    """Every nonempty antichain of the type-i poset with its entry and ladder
+    step; built once per translation quiver and type.
+
+    Each ground element has a down-set and an up-set bitmask, so comparability
+    is one AND, an ideal is the OR of its positions' down-sets, and an element
+    of the rest is a complement minimal when its down-set meets the rest only in
+    itself.  The move is +1 on A and -1 on the translates of the complement
+    minimals (a projective has no translate).
     """
     key = ("antichains", i)
     if key not in ar._cache:
         ground = ar.p_set(i)
-        out: list[tuple[int, ...]] = []
+        down = {x: sum(1 << y for y in ground if ar.leq(y, x)) for x in ground}
+        up = {x: sum(1 << y for y in ground if ar.leq(x, y)) for x in ground}
+        everything = sum(1 << x for x in ground)
+        found: list[tuple[int, tuple[int, ...]]] = []  # (ideal mask, positions)
 
-        def extend(chosen: list[int], start: int) -> None:
+        def extend(chosen: list[int], chosen_mask: int, ideal_mask: int, start: int) -> None:
             if chosen:
-                out.append(tuple(chosen))
+                found.append((ideal_mask, tuple(chosen)))
             for idx in range(start, len(ground)):
                 cand = ground[idx]
-                if all(not ar.leq(c, cand) and not ar.leq(cand, c) for c in chosen):
+                if not (down[cand] | up[cand]) & chosen_mask:
                     chosen.append(cand)
-                    extend(chosen, idx + 1)
+                    extend(chosen, chosen_mask | 1 << cand, ideal_mask | down[cand], idx + 1)
                     chosen.pop()
 
-        extend([], 0)
+        extend([], 0, 0, 0)
+        found.sort(key=lambda row: (row[0].bit_count(), row[1]))
+        index = {mask: j for j, (mask, _) in enumerate(found)}
         entries = {}
-        for positions in out:
-            members = tuple(x for x in ground if any(ar.leq(x, top) for top in positions))
-            rest = [x for x in ground if x not in members]
-            comin = tuple(x for x in rest if not any(y != x and ar.leq(y, x) for y in rest))
+        steps = []
+        for mask, positions in found:
+            a = Antichain(i, positions)
+            rest = everything & ~mask
+            comin = tuple(x for x in ground if rest >> x & 1 and down[x] & rest == 1 << x)
             vec = [0] * ar.N
             for k in positions:
                 vec[k - 1] += 1
             for k in comin:
                 if k in ar.tau:
                     vec[ar.tau[k] - 1] -= 1
-            plus = Counter(k - 1 for k in members)
-            minus = Counter(ar.tau[k] - 1 for k in members if k in ar.tau)
-            entries[Antichain(i, positions)] = _Entry(
-                members,
-                comin,
-                tuple(vec),
-                tuple(sorted((plus - minus).elements())),
-                tuple(sorted((minus - plus).elements())),
-                sum(1 << k for k in members),
+            entries[a] = _Entry(
+                tuple(x for x in ground if mask >> x & 1), comin, tuple(vec), mask
             )
-        order = sorted(entries, key=lambda a: (len(entries[a].ideal), a.positions))
-        ar._cache[key] = MappingProxyType({a: entries[a] for a in order})
+            x = positions[-1]
+            below = mask & ~(1 << x)
+            if not below:
+                parent = -1
+            elif below in index:
+                parent = index[below]
+            else:
+                raise InvariantViolation(
+                    "ideal minus a maximal element is no antichain's ideal",
+                    {"type": i, "antichain": positions, "removed": x},
+                )
+            steps.append((parent, x - 1, ar.tau[x] - 1 if x in ar.tau else -1))
+        ar._cache[key] = _TypeTable(MappingProxyType(entries), tuple(steps))
     return ar._cache[key]
 
 
 def _entry(ar: ARQuiver, a: Antichain) -> _Entry:
-    entry = _table(ar, a.type_index).get(a) if 1 <= a.type_index <= ar.n else None
+    entry = _table(ar, a.type_index).entries.get(a) if 1 <= a.type_index <= ar.n else None
     if entry is None:
         raise ValueError(f"{a} is not among the antichains of its type")
     return entry
@@ -99,7 +128,7 @@ def _entry(ar: ARQuiver, a: Antichain) -> _Entry:
 
 def antichains(ar: ARQuiver, i: int) -> tuple[Antichain, ...]:
     """All nonempty antichains of the type-i poset, ordered by (ideal size, positions)."""
-    return tuple(_table(ar, i))
+    return tuple(_table(ar, i).entries)
 
 
 def ideal(ar: ARQuiver, a: Antichain) -> tuple[int, ...]:
@@ -133,37 +162,34 @@ def u_vector(ar: ARQuiver, a: Antichain) -> Vector:
     return tuple(vec)
 
 
-def _evaluate(plus: tuple[int, ...], minus: tuple[int, ...], t) -> int:
-    return sum(map(t.__getitem__, plus)) - sum(map(t.__getitem__, minus))
-
-
 def f_value(ar: ARQuiver, a: Antichain, t) -> int:
     """Sum over the ideal of t_k minus t at the translate (zero for projectives)."""
-    e = _entry(ar, a)
-    return _evaluate(e.plus, e.minus, t)
+    return sum(t[k - 1] - (t[ar.tau[k] - 1] if k in ar.tau else 0) for k in _entry(ar, a).ideal)
 
 
 def maximal_antichain(ar: ARQuiver, i: int, t) -> Antichain:
     """The unique inclusion-maximal antichain among the F maximizers.
 
-    Checks uniqueness by testing that the union of maximizer ideals is itself a
-    maximizer ideal; a failure (InvariantViolation) signals a non-adapted word or
-    a quiver without the multiplicity-one property.
+    Evaluates every F_A in one pass along the ladder steps.  Checks uniqueness
+    by testing that the union of maximizer ideals is itself a maximizer ideal; a
+    failure (InvariantViolation) signals a non-adapted word or a quiver without
+    the multiplicity-one property.
     """
-    zeta = None
-    argmax: list[tuple[Antichain, int]] = []
-    for a, e in _table(ar, i).items():
-        value = _evaluate(e.plus, e.minus, t)
-        if zeta is None or value > zeta:
-            zeta = value
-            argmax = [(a, e.mask)]
-        elif value == zeta:
-            argmax.append((a, e.mask))
+    table = _table(ar, i)
+    tz = (*t, 0)  # index -1 reads 0: no translate
+    f = [0] * (len(table.steps) + 1)  # f[-1] stays 0: the empty ideal
+    j = 0
+    for parent, x, tx in table.steps:
+        f[j] = f[parent] + tz[x] - tz[tx]
+        j += 1
+    f.pop()
+    zeta = max(f)
+    argmax = [row for row, value in zip(table.entries.items(), f) if value == zeta]
     union = 0
-    for _, mask in argmax:
-        union |= mask
-    for a, mask in argmax:
-        if mask == union:
+    for _, e in argmax:
+        union |= e.mask
+    for a, e in argmax:
+        if e.mask == union:
             return a
     raise InvariantViolation(
         "maximizer antichains have no unique maximum",
@@ -174,11 +200,10 @@ def maximal_antichain(ar: ARQuiver, i: int, t) -> Antichain:
 def lusztig_e(ar: ARQuiver, i: int, t) -> Vector:
     """Raising operator of type i on a multiplicity vector."""
     t = tuple(t)
-    if any(x < 0 for x in t):
+    if min(t, default=0) < 0:
         raise ValueError("multiplicity vectors must be nonnegative")
-    a_max = maximal_antichain(ar, i, t)
-    out = tuple(x + m for x, m in zip(t, move(ar, a_max)))
-    if any(x < 0 for x in out):
+    out = tuple(map(add, t, move(ar, maximal_antichain(ar, i, t))))
+    if min(out, default=0) < 0:
         raise InvariantViolation(
             "raising gave a negative multiplicity", {"type": i, "t": t, "result": out}
         )
@@ -188,7 +213,7 @@ def lusztig_e(ar: ARQuiver, i: int, t) -> Vector:
 def all_moves(ar: ARQuiver) -> list[tuple[Antichain, Vector]]:
     """Every antichain move of every type, in canonical order (crystal moves
     only where `quiver.condition_L` holds, which callers that need it check)."""
-    return [(a, e.move) for i in range(1, ar.n + 1) for a, e in _table(ar, i).items()]
+    return [(a, e.move) for i in range(1, ar.n + 1) for a, e in _table(ar, i).entries.items()]
 
 
 def move_vectors(ar: ARQuiver, typed: bool = False) -> frozenset:

@@ -204,11 +204,9 @@ def _structural(
         # raising operator adds the right simple root to the weight
         bad = []
         graph = lusztig.lusztig_crystal(ar, 3)
+        weight = {v: lusztig.lusztig_weight(ar, v) for v in graph.vertices}
         for v, i, w in graph.edges:
-            diff = tuple(
-                a - b
-                for a, b in zip(lusztig.lusztig_weight(ar, w), lusztig.lusztig_weight(ar, v))
-            )
+            diff = tuple(a - b for a, b in zip(weight[w], weight[v]))
             if diff != simple_root(d, i):
                 bad.append((v, i))
         report("move_weight_increment", not bad, bad[:3] or None)
@@ -314,13 +312,12 @@ def _structural(
         bad = []
         if len(paths) != len(chains):
             bad.append(("count", len(paths), len(chains)))
-        for a in chains:
-            p = wiring.antichain_path(wd, ar, a)
+        rebuilt = {a: wiring.antichain_path(wd, ar, a) for a in chains}
+        for a, p in rebuilt.items():
             if wiring.k_vector(wd, p) != lusztig.move(ar, a):
                 bad.append(("vector", a.positions))
         for p in paths:
-            a = wiring.path_antichain(wd, ar, p)
-            if wiring.antichain_path(wd, ar, a) != p:
+            if rebuilt.get(wiring.path_antichain(wd, ar, p)) != p:
                 bad.append(("roundtrip", p.crossings))
         report(f"path_antichain_bijection_type{i}", not bad, bad[:3] or None)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import reference
 from stringcone.arquiver import build_ar
-from stringcone.cartan import d_diagram, path_diagram
+from stringcone.cartan import InvariantViolation, d_diagram, path_diagram
 from stringcone.crystal import same_labelled_graph
 from stringcone.lusztig import (
     Antichain,
@@ -57,6 +58,20 @@ def test_chain_poset_has_singleton_antichains():
     )
     assert chain
     assert len(antichains(ar, 4)) == len(ground)
+
+
+def test_ladder_step_without_a_parent_ideal_is_an_invariant_violation():
+    # type 4 of this quiver is the chain 5 < 6 < 7 < 8; with the relation 5 <= 8
+    # cut out (the map-to-simple table kept), the ideal {6, 7, 8} of (8,) minus 8
+    # is no antichain's ideal
+    ar = build_ar(parse_quiver("2>1,2>3,4>3"))
+    assert ar.p_set(4) == (5, 6, 7, 8)
+    reach = list(ar._reach)
+    reach[4] = reach[4] - {8}
+    broken = dataclasses.replace(ar, _reach=tuple(reach), _cache={"hom": ar.hom_table()})
+    with pytest.raises(InvariantViolation, match="no antichain's ideal") as err:
+        antichains(broken, 4)
+    assert err.value.witness == {"type": 4, "antichain": (8,), "removed": 8}
 
 
 def _table_instances():
@@ -135,12 +150,33 @@ def _reference_maximal(ar, i, t):
     return top
 
 
-@given(st.sampled_from(["2>1,2>3", "1>2,3>2,3>4", "4>3,3>1,3>2"]), st.data())
-def test_maximal_antichain_matches_definition(spec, data):
-    ar = build_ar(parse_quiver(spec))
-    t = data.draw(st.lists(st.integers(0, 5), min_size=ar.N, max_size=ar.N))
+# every table instance plus one rank-5 orientation of each type; the ladder pass
+# of maximal_antichain against the definitions and against direct F_A sums
+_MAXIMAL_INSTANCES = _table_instances() + [
+    parse_quiver("1>2,3>2,3>4,5>4"),
+    parse_quiver("1>3,2>3,3>4,4>5"),
+]
+
+
+def _check_maximal(ar, t):
     for i in range(1, ar.n + 1):
-        assert maximal_antichain(ar, i, t).positions == _reference_maximal(ar, i, t)
+        top = maximal_antichain(ar, i, t)
+        assert top.positions == _reference_maximal(ar, i, t)
+        assert f_value(ar, top, t) == max(f_value(ar, a, t) for a in antichains(ar, i))
+
+
+@pytest.mark.parametrize("q", _MAXIMAL_INSTANCES, ids=lambda q: ",".join(map(str, q.arrows)))
+def test_maximal_antichain_at_zero_and_unit_vectors(q):
+    ar = build_ar(q)
+    _check_maximal(ar, (0,) * ar.N)
+    for k in range(ar.N):
+        _check_maximal(ar, tuple(int(j == k) for j in range(ar.N)))
+
+
+@given(st.sampled_from(_MAXIMAL_INSTANCES), st.data())
+def test_maximal_antichain_matches_definition(q, data):
+    ar = build_ar(q)
+    _check_maximal(ar, data.draw(st.lists(st.integers(0, 5), min_size=ar.N, max_size=ar.N)))
 
 
 def test_raising_operator_paper_example(a3_ar):

@@ -6,7 +6,7 @@ import pytest
 from stringcone import quiver, verify
 from stringcone.arquiver import build_ar
 from stringcone.cartan import path_diagram
-from stringcone.lusztig import move_vectors
+from stringcone.lusztig import antichains, move_vectors
 from stringcone.quiver import adapted_word, all_orientations, parse_quiver
 from stringcone.verify import (
     ConditionLFails,
@@ -223,6 +223,30 @@ def test_suite_fills_each_hom_table_once(monkeypatch):
     run_suite(4, 0)
     monkeypatch.undo()
     assert len(calls) == 405
+
+
+def test_suite_rank_five_passes_and_rebuilds_each_path_once(monkeypatch):
+    # 501 (orientation, antichain) pairs on ranks 1-5: the path/antichain check
+    # rebuilds one path per antichain and reads the round trip from those
+    original = verify.wiring.antichain_path
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(verify.wiring, "antichain_path", counted)
+    summary = run_suite(5, 0)
+    monkeypatch.undo()
+    assert summary.ok and len(summary.reports) == 1275
+    pairs = [
+        a
+        for n in range(1, 6)
+        for q in all_orientations(path_diagram(n))
+        for i in range(1, n + 1)
+        for a in antichains(build_ar(q), i)
+    ]
+    assert len(calls) == len(pairs) == 501
 
 
 def test_paths_enumerated_once_per_type():
