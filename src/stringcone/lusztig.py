@@ -162,8 +162,14 @@ def u_vector(ar: ARQuiver, a: Antichain) -> Vector:
     return tuple(vec)
 
 
+def _check_length(ar: ARQuiver, t) -> None:
+    if len(t) != ar.N:
+        raise ValueError(f"multiplicity vector has {len(t)} entries, not N = {ar.N}")
+
+
 def f_value(ar: ARQuiver, a: Antichain, t) -> int:
     """Sum over the ideal of t_k minus t at the translate (zero for projectives)."""
+    _check_length(ar, t)
     return sum(t[k - 1] - (t[ar.tau[k] - 1] if k in ar.tau else 0) for k in _entry(ar, a).ideal)
 
 
@@ -175,6 +181,7 @@ def maximal_antichain(ar: ARQuiver, i: int, t) -> Antichain:
     failure (InvariantViolation) signals a non-adapted word or a quiver without
     the multiplicity-one property.
     """
+    _check_length(ar, t)
     table = _table(ar, i)
     tz = (*t, 0)  # index -1 reads 0: no translate
     f = [0] * (len(table.steps) + 1)  # f[-1] stays 0: the empty ideal

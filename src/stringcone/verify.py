@@ -150,6 +150,7 @@ def _structural(
     inst = _instance(q, word)
     d = q.diagram
     n = d.n
+    simple = [simple_root(d, i) for i in range(1, n + 1)]
     out: list[VerificationReport] = []
 
     def report(check: str, passed: bool, witness=None) -> None:
@@ -207,7 +208,7 @@ def _structural(
         weight = {v: lusztig.lusztig_weight(ar, v) for v in graph.vertices}
         for v, i, w in graph.edges:
             diff = tuple(a - b for a, b in zip(weight[w], weight[v]))
-            if diff != simple_root(d, i):
+            if diff != simple[i - 1]:
                 bad.append((v, i))
         report("move_weight_increment", not bad, bad[:3] or None)
 
@@ -239,7 +240,7 @@ def _structural(
     bad = []
     for k in range(1, ar.N + 1):
         # in the weight basis the fundamental weight omega_i has coordinates e_i
-        omega = simple_root(d, word[k - 1])
+        omega = simple[word[k - 1] - 1]
         if wiring.lambda_minus(wd, k) != weyl_act(d, word[: k - 1], omega, basis="weight"):
             bad.append(("minus", k))
         if wiring.lambda_plus(wd, k) != weyl_act(d, word[:k], omega, basis="weight"):
@@ -294,7 +295,7 @@ def _structural(
 
         # limiting path is a valid path contributing the simple-root coordinate
         delta_ok = wiring.is_gp_path(wd, z.delta)
-        alpha_pos = ar.position_by_root[simple_root(d, i)]
+        alpha_pos = ar.position_by_root[simple[i - 1]]
         kvec = wiring.k_vector(wd, z.delta)
         expected = tuple(1 if k == alpha_pos else 0 for k in range(1, ar.N + 1))
         report(f"limiting_path_type{i}", delta_ok and kvec == expected, None)

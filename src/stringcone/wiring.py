@@ -1,11 +1,19 @@
 """Wiring diagrams of reduced words in type A: crossings, chambers, oriented
 path graphs, path contribution vectors, and the staircase correspondence with
-antichains for adapted words."""
+antichains for adapted words.
+
+The track table `occupancy` is the one record of the chambers: a chamber's
+label, the set of wires on tracks 1..band, is the same at every gap between two
+consecutive crossings of its level, so chamber weights and zones are read from
+the table.  Every
+staircase path, the limiting path included, is built by one wire ride
+(`_staircase`)."""
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import groupby
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -16,16 +24,6 @@ from .quiver import NotAdapted
 
 
 Node = tuple[str, int] | int  # ("l", j) / ("r", j) borders, int crossing position
-
-
-@dataclass(frozen=True)
-class Chamber:
-    band: int
-    gap_lo: int
-    gap_hi: int
-    label: frozenset[int]
-    left_cap: int | None
-    right_cap: int | None
 
 
 @dataclass(frozen=True)
@@ -42,7 +40,6 @@ class WiringDiagram:
     pairs: tuple[tuple[int, int], ...]
     occupancy: tuple[tuple[int, ...], ...]  # wires per track, per gap 0..N
     wire_route: dict[int, tuple[int, ...]]
-    chambers: tuple[Chamber, ...]
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -55,12 +52,6 @@ class WiringDiagram:
     def crossing_of(self, a: int, b: int) -> int:
         a, b = min(a, b), max(a, b)
         return self.pairs.index((a, b)) + 1
-
-    def left_chamber(self, k: int) -> Chamber:
-        return next(c for c in self.chambers if c.right_cap == k)
-
-    def right_chamber(self, k: int) -> Chamber:
-        return next(c for c in self.chambers if c.left_cap == k)
 
 
 def build_wiring(word, n: int) -> WiringDiagram:
@@ -90,29 +81,12 @@ def build_wiring(word, n: int) -> WiringDiagram:
     for k, (a, b) in enumerate(pairs, start=1):
         route[a].append(k)
         route[b].append(k)
-    chambers = []
-    N = len(word)
-    for band in range(1, n + 1):
-        caps = [k for k in range(1, N + 1) if word[k - 1] == band]
-        bounds = [0] + caps + [N + 1]
-        for idx in range(len(bounds) - 1):
-            chambers.append(
-                Chamber(
-                    band=band,
-                    gap_lo=bounds[idx],
-                    gap_hi=bounds[idx + 1] - 1,
-                    label=frozenset(occupancy[bounds[idx]][:band]),
-                    left_cap=bounds[idx] if idx > 0 else None,
-                    right_cap=bounds[idx + 1] if idx + 1 < len(bounds) - 1 else None,
-                )
-            )
     return WiringDiagram(
         n=n,
         word=word,
         pairs=tuple(pairs),
         occupancy=tuple(occupancy),
         wire_route={j: tuple(r) for j, r in route.items()},
-        chambers=tuple(chambers),
     )
 
 
@@ -128,24 +102,14 @@ def chamber_weight(n: int, label) -> Vector:
 
 
 def lambda_minus(wd: WiringDiagram, k: int) -> Vector:
-    return chamber_weight(wd.n, wd.left_chamber(k).label)
+    """Weight of the chamber left of crossing k, labelled by the wires on
+    tracks 1..level(k) just before it."""
+    return chamber_weight(wd.n, wd.occupancy[k - 1][: wd.level(k)])
 
 
 def lambda_plus(wd: WiringDiagram, k: int) -> Vector:
-    return chamber_weight(wd.n, wd.right_chamber(k).label)
-
-
-def chamber_corners(wd: WiringDiagram, c: Chamber) -> frozenset[int]:
-    """Crossings on the boundary of a chamber."""
-    out = set()
-    if c.left_cap is not None:
-        out.add(c.left_cap)
-    if c.right_cap is not None:
-        out.add(c.right_cap)
-    for p in range(c.gap_lo + 1, c.gap_hi + 1):
-        if wd.word[p - 1] in (c.band - 1, c.band + 1):
-            out.add(p)
-    return frozenset(out)
+    """Weight of the chamber right of crossing k."""
+    return chamber_weight(wd.n, wd.occupancy[k][: wd.level(k)])
 
 
 def _forward(wire: int, i: int) -> bool:
@@ -275,16 +239,27 @@ def gp_cone(wd: WiringDiagram, typed: bool = False) -> frozenset:
     return frozenset(vec for _, _, vec in rows)
 
 
+def _staircase(wd: WiringDiagram, i: int, wires: tuple[int, ...]) -> GPPath:
+    """Ride each wire in its type-i direction from the last switch crossing to
+    its crossing with the next wire, then ride the last wire out."""
+    crossings: list[int] = []
+    on: list[int] = []
+    for wire, nxt in zip(wires, (*wires[1:], None)):
+        route = wd.wire_route[wire] if _forward(wire, i) else wd.wire_route[wire][::-1]
+        start = route.index(crossings[-1]) + 1 if crossings else 0
+        stop = len(route) if nxt is None else route.index(wd.crossing_of(wire, nxt)) + 1
+        if nxt is not None and stop <= start:
+            raise InvariantViolation(
+                "target crossing is not ahead on the wire", {"wire": wire, "next": nxt}
+            )
+        crossings += route[start:stop]
+        on += [wire] * (stop - start)
+    return GPPath(i, tuple(crossings), (*on, wires[-1]))
+
+
 def limiting_path(wd: WiringDiagram, i: int) -> GPPath:
     """Ride wire i+1 to its crossing with wire i, then ride wire i back out."""
-    v_alpha = wd.crossing_of(i, i + 1)
-    fwd = wd.wire_route[i + 1]
-    entry = fwd[: fwd.index(v_alpha) + 1]
-    bwd = wd.wire_route[i]
-    exit_part = tuple(reversed(bwd[: bwd.index(v_alpha)]))
-    crossings = entry + exit_part
-    wires = (i + 1,) * len(entry) + (i,) * (len(exit_part) + 1)
-    return GPPath(i, crossings, wires)
+    return _staircase(wd, i, (i + 1, i))
 
 
 @dataclass(frozen=True)
@@ -296,20 +271,30 @@ class Zones:
 
 def zones(wd: WiringDiagram, i: int) -> Zones:
     """The rightmost and the boundary crossings of the chambers below wire i
-    and above wire i+1, with the limiting path."""
+    and above wire i+1, with the limiting path.
+
+    Each band's chambers lie between its consecutive caps: 0, the crossings at
+    that level, then N+1.  A chamber's label is read at its left gap, and its
+    corners are its caps and the crossings on the neighbouring levels.
+    """
     v_alpha = wd.crossing_of(i, i + 1)
-    chosen = tuple(c for c in wd.chambers if i in c.label and (i + 1) not in c.label)
-    for c in chosen:
-        if c.right_cap is None or c.right_cap > v_alpha:
-            raise InvariantViolation(
-                "zone chamber ends after the simple-root crossing",
-                {"type": i, "label": c.label, "right_cap": c.right_cap},
-            )
-    z = frozenset(c.right_cap for c in chosen)
+    z: set[int] = set()
     y: set[int] = set()
-    for c in chosen:
-        y |= chamber_corners(wd, c)
-    return Zones(limiting_path(wd, i), z, frozenset(y))
+    for band in range(1, wd.n + 1):
+        caps = [0, *(k for k in range(1, wd.N + 1) if wd.level(k) == band), wd.N + 1]
+        for lo, hi in zip(caps, caps[1:]):
+            label = wd.occupancy[lo][:band]
+            if i not in label or i + 1 in label:
+                continue
+            if hi > v_alpha:
+                right_cap = hi if hi <= wd.N else None  # None: a border chamber
+                raise InvariantViolation(
+                    "zone chamber ends after the simple-root crossing",
+                    {"type": i, "label": frozenset(label), "right_cap": right_cap},
+                )
+            z.add(hi)
+            y.update(p for p in range(max(lo, 1), hi + 1) if abs(wd.level(p) - band) <= 1)
+    return Zones(limiting_path(wd, i), frozenset(z), frozenset(y))
 
 
 def path_antichain(wd: WiringDiagram, ar: ARQuiver, path: GPPath) -> Antichain:
@@ -331,13 +316,20 @@ def path_antichain(wd: WiringDiagram, ar: ARQuiver, path: GPPath) -> Antichain:
 def antichain_path(wd: WiringDiagram, ar: ARQuiver, a: Antichain) -> GPPath:
     """Rebuild the staircase path whose turning points realize the antichain.
 
-    Turning points are visited with grid row index strictly decreasing; the
-    entry and exit ride the limiting wires i+1 and i, with at most one
-    transfer crossing on each side.
+    Turning points are visited with grid row index strictly decreasing: the
+    path rides wire i+1, then the column and the row wire of each cell, then
+    wire i.  Raises ValueError when the type is out of range or the positions
+    are empty or lie outside the type's poset.
     """
     if tuple(ar.word) != wd.word:
         raise NotAdapted("translation quiver and wiring diagram use different words")
     i = a.type_index
+    # the type-i poset: the positions with a nonzero map to the simple at i
+    in_poset = 1 <= i <= ar.n and all(
+        1 <= k <= ar.N and ar.hom_table()[k - 1][i - 1] > 0 for k in a.positions
+    )
+    if not (a.positions and in_poset):
+        raise ValueError(f"{a} is not a nonempty set of positions of its type's poset")
     grid = grid_A(ar, i)
     j = grid.left_segment + grid.right_segment
     cells = sorted((grid.cell_of(pos) for pos in a.positions), key=lambda c: -c[0])
@@ -346,43 +338,8 @@ def antichain_path(wd: WiringDiagram, ar: ARQuiver, a: Antichain) -> GPPath:
             raise InvariantViolation(
                 "positions are not an antichain in the grid", {"type": i, "cells": cells}
             )
-    crossings: list[int] = []
-    wires_seq: list[int] = []
-
-    def ride_to(wire: int, target: int, forward: bool) -> None:
-        route = list(wd.wire_route[wire])
-        if not forward:
-            route.reverse()
-        pos = route.index(crossings[-1]) + 1 if crossings and crossings[-1] in route else 0
-        for k in route[pos:]:
-            crossings.append(k)
-            wires_seq.append(wire)
-            if k == target:
-                return
-        raise InvariantViolation(
-            "target crossing is not ahead on the wire", {"wire": wire, "target": target}
-        )
-
-    first_f = j[cells[0][1] - 1]
-    if first_f != i + 1:
-        ride_to(i + 1, wd.crossing_of(i + 1, first_f), forward=True)
-    for idx, (k_cell, l_cell) in enumerate(cells):
-        fwire = j[l_cell - 1]
-        bwire = j[k_cell - 1]
-        ride_to(fwire, wd.crossing_of(bwire, fwire), forward=True)
-        if idx + 1 < len(cells):
-            next_f = j[cells[idx + 1][1] - 1]
-            ride_to(bwire, wd.crossing_of(bwire, next_f), forward=False)
-        else:
-            if bwire != i:
-                ride_to(bwire, wd.crossing_of(bwire, i), forward=False)
-            route_i = list(reversed(wd.wire_route[i]))
-            pos = route_i.index(crossings[-1]) + 1 if crossings[-1] in route_i else 0
-            for k in route_i[pos:]:
-                crossings.append(k)
-                wires_seq.append(i)
-    wires_seq.append(i)
-    path = GPPath(i, tuple(crossings), tuple(wires_seq))
+    wires = [i + 1, *(j[c - 1] for k_cell, l_cell in cells for c in (l_cell, k_cell)), i]
+    path = _staircase(wd, i, tuple(wire for wire, _ in groupby(wires)))
     if not is_gp_path(wd, path) or path_antichain(wd, ar, path) != a:
         raise InvariantViolation(
             "reconstructed staircase does not realize the antichain",

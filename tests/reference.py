@@ -6,6 +6,7 @@ asserts: a reference only computes.
 """
 
 from itertools import product
+from typing import NamedTuple
 
 from stringcone.cartan import (
     NotSimplyLacedAD,
@@ -77,3 +78,35 @@ def move(ar, a) -> tuple[int, ...]:
         (k in a.positions) - sum(ar.tau.get(m) == k for m in cominimals(ar, a))
         for k in range(1, ar.N + 1)
     )
+
+
+class Chamber(NamedTuple):
+    band: int
+    label: frozenset[int]
+    left_cap: int | None  # None on the left border
+    right_cap: int | None  # None on the right border
+    corners: frozenset[int]
+
+
+def chambers(word, n: int) -> list[Chamber]:
+    """Type A wiring chambers, band by band: the gaps between two consecutive
+    caps (crossings at the band's level, or a border), labelled by the wires
+    on tracks 1..band at the left gap, with the crossings on their boundary."""
+    word = tuple(word)
+    N = len(word)
+    tracks = [list(range(1, n + 2))]  # wires per track after each letter
+    for t in word:
+        row = list(tracks[-1])
+        row[t - 1], row[t] = row[t], row[t - 1]
+        tracks.append(row)
+    out = []
+    for band in range(1, n + 1):
+        caps = [0] + [k for k in range(1, N + 1) if word[k - 1] == band] + [N + 1]
+        for lo, hi in zip(caps, caps[1:]):
+            left = lo if lo > 0 else None
+            right = hi if hi <= N else None
+            corners = {c for c in (left, right) if c is not None}
+            corners |= {p for p in range(lo + 1, hi) if word[p - 1] in (band - 1, band + 1)}
+            label = frozenset(tracks[lo][:band])
+            out.append(Chamber(band, label, left, right, frozenset(corners)))
+    return out

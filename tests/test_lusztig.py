@@ -122,6 +122,23 @@ def test_lookup_rejects_antichains_outside_the_table(a3_ar):
                 reader(a3_ar, a)
 
 
+def test_maximal_antichain_rejects_wrong_length_vectors():
+    ar = build_ar(parse_quiver("2>1"))  # N = 3
+    for i, t in ((1, (0, 0, 0, 5)), (2, (1, 0)), (1, ())):
+        with pytest.raises(ValueError, match="not N = 3"):
+            maximal_antichain(ar, i, t)
+        with pytest.raises(ValueError, match="not N = 3"):
+            lusztig_e(ar, i, t)
+
+
+def test_f_value_rejects_wrong_length_vectors():
+    ar = build_ar(parse_quiver("2>1"))
+    for a in antichains(ar, 1) + antichains(ar, 2):
+        for t in ((1,), (0, 0, 0, 5)):
+            with pytest.raises(ValueError, match="not N = 3"):
+                f_value(ar, a, t)
+
+
 def test_f_values_at_paper_point(a3_ar):
     chains = antichains(a3_ar, 2)
     values = [f_value(a3_ar, a, T_PAPER) for a in chains]

@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+import reference
 from stringcone.arquiver import build_ar
 from stringcone.cartan import (
     NotReducedW0,
@@ -50,7 +53,8 @@ def test_rejects_non_reduced_and_type_d_words():
 
 
 def test_chamber_labels(a3_wd):
-    labels = {tuple(sorted(c.label)) for c in a3_wd.chambers}
+    # a chamber's label, the wires on tracks 1..band, is the same at each of its gaps
+    labels = {tuple(sorted(row[:band])) for row in a3_wd.occupancy for band in (1, 2, 3)}
     assert {(1, 2), (2, 4), (1, 2, 4)} <= labels
 
 
@@ -69,11 +73,28 @@ def test_lambda_minus_prefix_formula(a3_wd):
 
 
 def test_border_chamber_weight(a3_wd):
+    # the left border chamber of band j is labelled by the wires 1..j
     for j in range(1, 4):
-        border = next(
-            c for c in a3_wd.chambers if c.band == j and c.left_cap is None
-        )
-        assert chamber_weight(3, border.label) == simple_root(path_diagram(3), j)
+        border = a3_wd.occupancy[0][:j]
+        assert chamber_weight(3, border) == simple_root(path_diagram(3), j)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_chambers_match_definition(n):
+    for q in all_orientations(path_diagram(n)):
+        word = adapted_word(q)
+        wd = build_wiring(word, n)
+        chambers = reference.chambers(word, n)
+        for k in range(1, wd.N + 1):
+            (left,) = [c for c in chambers if c.right_cap == k]
+            (right,) = [c for c in chambers if c.left_cap == k]
+            assert lambda_minus(wd, k) == chamber_weight(n, left.label)
+            assert lambda_plus(wd, k) == chamber_weight(n, right.label)
+        for i in range(1, n + 1):
+            chosen = [c for c in chambers if i in c.label and i + 1 not in c.label]
+            z = zones(wd, i)
+            assert z.z_positions == {c.right_cap for c in chosen}
+            assert z.y_positions == frozenset().union(*(c.corners for c in chosen))
 
 
 def test_five_paths_golden(a3_wd):
@@ -200,6 +221,36 @@ def test_bijection_all_orientations(n):
             assert len(paths) == len(chains)
             for a in chains:
                 assert k_vector(wd, antichain_path(wd, ar, a)) == move(ar, a)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_limiting_path_is_the_simple_root_staircase(n):
+    # the simple root tops the type-i poset: its ideal is the whole poset and
+    # its move is the unit vector at the simple root, as for the limiting path
+    d = path_diagram(n)
+    for q in all_orientations(d):
+        word = adapted_word(q)
+        ar = build_ar(q, word)
+        wd = build_wiring(word, n)
+        for i in range(1, n + 1):
+            top = Antichain(i, (ar.position_by_root[simple_root(d, i)],))
+            assert limiting_path(wd, i) == antichain_path(wd, ar, top)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        Antichain(2, (99,)),
+        Antichain(2, (0,)),
+        Antichain(2, (1,)),
+        Antichain(2, ()),
+        Antichain(7, (1,)),
+    ],
+    ids=["no-such-position", "position-zero", "outside-the-poset", "empty", "no-such-type"],
+)
+def test_antichain_path_rejects_positions_outside_the_poset(a3_wd, a3_ar, a):
+    with pytest.raises(ValueError, match=re.escape(repr(a))):
+        antichain_path(a3_wd, a3_ar, a)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
