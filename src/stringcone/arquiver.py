@@ -155,12 +155,6 @@ class HammockGrid:
     right_segment: tuple[int, ...]
     cells: Mapping[tuple[int, int], int]
 
-    def cell_of(self, position: int) -> tuple[int, int]:
-        for cell, pos in self.cells.items():
-            if pos == position:
-                return cell
-        raise KeyError(position)
-
     @staticmethod
     def leq(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
         return c1[0] >= c2[0] and c1[1] >= c2[1]

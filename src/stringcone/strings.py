@@ -41,6 +41,8 @@ def _shift(a: tuple[int, ...], k: int, delta: int) -> tuple[int, ...]:
 
 
 def _r_vector(rows, a) -> list[int]:
+    if len(a) != len(rows):
+        raise ValueError(f"string vector has {len(a)} entries, not one per letter: {len(rows)}")
     r = [0] * len(rows)
     for j, x in enumerate(a):
         _bump(r, rows[j], j, x)
@@ -90,9 +92,10 @@ def is_string(d: DynkinDiagram, word, a) -> bool:
     """
     word = tuple(word)
     a = tuple(a)
+    positions, rows = _layout(d, word)
+    r = _r_vector(rows, a)
     if any(x < 0 for x in a):
         return False
-    positions, rows = _layout(d, word)
     seen: dict[tuple[int, ...], bool] = {(0,) * len(word): True}
 
     def member(v: tuple[int, ...], r: list[int]) -> bool:
@@ -106,7 +109,7 @@ def is_string(d: DynkinDiagram, word, a) -> bool:
                 break
         return seen[v]
 
-    return member(a, _r_vector(rows, a))
+    return member(a, r)
 
 
 def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[tuple[int, ...]]:

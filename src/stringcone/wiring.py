@@ -5,9 +5,10 @@ antichains for adapted words.
 The track table `occupancy` is the one record of the chambers: a chamber's
 label, the set of wires on tracks 1..band, is the same at every gap between two
 consecutive crossings of its level, so chamber weights and zones are read from
-the table.  Every
-staircase path, the limiting path included, is built by one wire ride
-(`_staircase`)."""
+the table.  The crossing pairs `pairs` decide both type-i rules: which crossings
+a path may not pass straight through, and which two wires each staircase turn
+joins.  Every staircase path, the limiting path included, is built by one wire
+ride (`_staircase`)."""
 
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ from itertools import groupby
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .arquiver import ARQuiver, grid_A
+from .arquiver import ARQuiver
 from .cartan import InvariantViolation, Vector, path_diagram, reflection_ordering
-from .lusztig import Antichain
+from .lusztig import Antichain, ideal
 from .quiver import NotAdapted
 
 
@@ -117,13 +118,6 @@ def _forward(wire: int, i: int) -> bool:
     return wire > i
 
 
-def wire_ascends(wd: WiringDiagram, k: int, wire: int, forward: bool) -> bool:
-    """Whether the wire climbs to a higher track through crossing k, seen in its
-    travel direction.  The upper-left occupant descends going right."""
-    upper_before = wd.occupancy[k - 1][wd.level(k) - 1]
-    return wire != upper_before if forward else wire == upper_before
-
-
 class _TypeTable(NamedTuple):
     graph: Mapping[Node, tuple[tuple[int, Node], ...]]
     forbidden: frozenset[tuple[int, int]]
@@ -135,7 +129,11 @@ def _table(wd: WiringDiagram, i: int) -> _TypeTable:
     keyed by vertex, the (crossing, wire) pairs a path may not pass straight
     through (both wires of the crossing travel the same way and this one
     ascends), and every path from the entry border vertex to the exit vertex
-    that avoids them, sorted."""
+    that avoids them, sorted.
+
+    Crossing k swaps wires a < b, with a on the upper track before it, so a
+    descends going right: of two right-going wires b ascends, of two left-going
+    wires a does."""
     if not (1 <= i <= wd.n):
         raise ValueError(f"type index {i} out of range")
     key = ("type", i)
@@ -150,11 +148,7 @@ def _table(wd: WiringDiagram, i: int) -> _TypeTable:
             out.setdefault(a, []).append((wire, b))
     graph = {v: tuple(sorted(edges, key=str)) for v, edges in out.items()}
     forbidden = frozenset(
-        (k, wire)
-        for k, (a, b) in enumerate(wd.pairs, start=1)
-        for wire, other in ((a, b), (b, a))
-        if _forward(wire, i) == _forward(other, i)
-        and wire_ascends(wd, k, wire, _forward(wire, i))
+        (k, b if a > i else a) for k, (a, b) in enumerate(wd.pairs, start=1) if a > i or b <= i
     )
     goal: Node = ("l", i)
     found: list[GPPath] = []
@@ -175,12 +169,6 @@ def _table(wd: WiringDiagram, i: int) -> _TypeTable:
     found.sort(key=lambda p: (p.crossings, p.wires))
     wd._cache[key] = _TypeTable(MappingProxyType(graph), forbidden, tuple(found))
     return wd._cache[key]
-
-
-def oriented_graph(wd: WiringDiagram, i: int) -> Mapping[Node, tuple[tuple[int, Node], ...]]:
-    """Out-edge lists of the type-i orientation, keyed by vertex, as a
-    read-only mapping."""
-    return _table(wd, i).graph
 
 
 def gp_paths(wd: WiringDiagram, i: int) -> tuple[GPPath, ...]:
@@ -316,29 +304,20 @@ def path_antichain(wd: WiringDiagram, ar: ARQuiver, path: GPPath) -> Antichain:
 def antichain_path(wd: WiringDiagram, ar: ARQuiver, a: Antichain) -> GPPath:
     """Rebuild the staircase path whose turning points realize the antichain.
 
-    Turning points are visited with grid row index strictly decreasing: the
-    path rides wire i+1, then the column and the row wire of each cell, then
-    wire i.  Raises ValueError when the type is out of range or the positions
-    are empty or lie outside the type's poset.
+    Crossing k of the type-i poset swaps a row wire <= i with a column wire
+    > i.  The path rides wire i+1, then the column and the row wire of each
+    turn, in the order in which the row wires cross wire i+1, then wire i.
+    Raises ValueError, as `lusztig.ideal` does, for an antichain that is not
+    among the antichains of its type.
     """
     if tuple(ar.word) != wd.word:
         raise NotAdapted("translation quiver and wiring diagram use different words")
+    ideal(ar, a)  # the lookup contract of lusztig's readers
     i = a.type_index
-    # the type-i poset: the positions with a nonzero map to the simple at i
-    in_poset = 1 <= i <= ar.n and all(
-        1 <= k <= ar.N and ar.hom_table()[k - 1][i - 1] > 0 for k in a.positions
+    turns = sorted(
+        (wd.pairs[k - 1] for k in a.positions), key=lambda t: wd.crossing_of(t[0], i + 1)
     )
-    if not (a.positions and in_poset):
-        raise ValueError(f"{a} is not a nonempty set of positions of its type's poset")
-    grid = grid_A(ar, i)
-    j = grid.left_segment + grid.right_segment
-    cells = sorted((grid.cell_of(pos) for pos in a.positions), key=lambda c: -c[0])
-    for (k1, l1), (k2, l2) in zip(cells, cells[1:]):
-        if not (k1 > k2 and l1 < l2):
-            raise InvariantViolation(
-                "positions are not an antichain in the grid", {"type": i, "cells": cells}
-            )
-    wires = [i + 1, *(j[c - 1] for k_cell, l_cell in cells for c in (l_cell, k_cell)), i]
+    wires = [i + 1, *(wire for row, column in turns for wire in (column, row)), i]
     path = _staircase(wd, i, tuple(wire for wire, _ in groupby(wires)))
     if not is_gp_path(wd, path) or path_antichain(wd, ar, path) != a:
         raise InvariantViolation(

@@ -8,6 +8,7 @@ asserts: a reference only computes.
 from itertools import product
 from typing import NamedTuple
 
+from stringcone.arquiver import grid_A
 from stringcone.cartan import (
     NotSimplyLacedAD,
     cartan_matrix,
@@ -80,6 +81,16 @@ def move(ar, a) -> tuple[int, ...]:
     )
 
 
+def _tracks(word, n: int) -> list[list[int]]:
+    """Wires on tracks 1..n+1 before the first letter and after each letter."""
+    tracks = [list(range(1, n + 2))]
+    for t in word:
+        row = list(tracks[-1])
+        row[t - 1], row[t] = row[t], row[t - 1]
+        tracks.append(row)
+    return tracks
+
+
 class Chamber(NamedTuple):
     band: int
     label: frozenset[int]
@@ -94,11 +105,7 @@ def chambers(word, n: int) -> list[Chamber]:
     on tracks 1..band at the left gap, with the crossings on their boundary."""
     word = tuple(word)
     N = len(word)
-    tracks = [list(range(1, n + 2))]  # wires per track after each letter
-    for t in word:
-        row = list(tracks[-1])
-        row[t - 1], row[t] = row[t], row[t - 1]
-        tracks.append(row)
+    tracks = _tracks(word, n)
     out = []
     for band in range(1, n + 1):
         caps = [0] + [k for k in range(1, N + 1) if word[k - 1] == band] + [N + 1]
@@ -110,3 +117,31 @@ def chambers(word, n: int) -> list[Chamber]:
             label = frozenset(tracks[lo][:band])
             out.append(Chamber(band, label, left, right, frozenset(corners)))
     return out
+
+
+def staircase_turns(ar, a) -> list[tuple[int, int]]:
+    """Type A: the (row wire, column wire) of each position's hammock grid cell,
+    row index descending.  The grid's rows and columns carry the i-segmented
+    Coxeter cycle j_1 .. j_i | j_{i+1} .. j_{n+1}."""
+    grid = grid_A(ar, a.type_index)
+    j = grid.left_segment + grid.right_segment
+    found = [next(cell for cell, pos in grid.cells.items() if pos == k) for k in a.positions]
+    return [(j[row - 1], j[column - 1]) for row, column in sorted(found, key=lambda c: -c[0])]
+
+
+def forbidden_crossings(word, n: int, i: int) -> frozenset[tuple[int, int]]:
+    """The (crossing, wire) pairs of the type-i orientation where both wires
+    travel the same way and this wire climbs to a higher track in its travel
+    direction.  Wires above i travel right, the others left; the wire on the
+    upper track before a crossing descends going right."""
+    tracks = _tracks(word, n)
+    out = set()
+    for k, t in enumerate(word, start=1):
+        upper, lower = tracks[k - 1][t - 1], tracks[k - 1][t]
+        for wire, other in ((upper, lower), (lower, upper)):
+            forward = wire > i
+            if forward != (other > i):
+                continue
+            if (wire == lower) if forward else (wire == upper):
+                out.add((k, wire))
+    return frozenset(out)

@@ -68,6 +68,23 @@ def test_letter_absent():
         string_f(D2, (1, 2, 1), 3, (0, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: string_r(D2, W2, a),
+        lambda a: string_e(D2, W2, 2, a),
+        lambda a: string_f(D2, W2, 1, a),
+        lambda a: is_string(D2, W2, a),
+    ],
+    ids=["string_r", "string_e", "string_f", "is_string"],
+)
+@pytest.mark.parametrize("a", [(), (1, 0), (0, 0), (0, 0, 0, 0), (-1, 0)])
+def test_string_side_rejects_wrong_length_vectors(call, a):
+    # every caller of the r-vector engine refuses a vector not of the word's length
+    with pytest.raises(ValueError, match=f"has {len(a)} entries"):
+        call(a)
+
+
 def test_membership_examples():
     assert not is_string(D2, W2, (1, 0, 0))
     assert is_string(D2, W2, (1, 1, 0))

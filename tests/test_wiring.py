@@ -3,6 +3,7 @@ import re
 import pytest
 
 import reference
+from test_verify import _adapted_words
 from stringcone.arquiver import build_ar
 from stringcone.cartan import (
     NotReducedW0,
@@ -13,6 +14,7 @@ from stringcone.cartan import (
 from stringcone.lusztig import Antichain, antichains, move
 from stringcone.cartan import pair_root_weight
 from stringcone.quiver import adapted_word, all_orientations, phi_R, rho
+from stringcone import wiring
 from stringcone.wiring import (
     antichain_path,
     build_wiring,
@@ -24,7 +26,6 @@ from stringcone.wiring import (
     lambda_minus,
     lambda_plus,
     limiting_path,
-    oriented_graph,
     path_antichain,
     paths_json,
     wiring_dot,
@@ -125,7 +126,7 @@ def test_path_vectors_never_vanish(a3_wd):
 
 def test_oriented_graph_is_acyclic(a3_wd):
     for i in (1, 2, 3):
-        graph = oriented_graph(a3_wd, i)
+        graph = wiring._table(a3_wd, i).graph
         seen, active = set(), set()
 
         def visit(node):
@@ -245,12 +246,52 @@ def test_limiting_path_is_the_simple_root_staircase(n):
         Antichain(2, (1,)),
         Antichain(2, ()),
         Antichain(7, (1,)),
+        Antichain(2, (3, 4)),
+        Antichain(2, (4, 4)),
+        Antichain(2, (5, 4)),
     ],
-    ids=["no-such-position", "position-zero", "outside-the-poset", "empty", "no-such-type"],
+    ids=[
+        "no-such-position",
+        "position-zero",
+        "outside-the-poset",
+        "empty",
+        "no-such-type",
+        "comparable",
+        "repeated",
+        "unsorted",
+    ],
 )
 def test_antichain_path_rejects_positions_outside_the_poset(a3_wd, a3_ar, a):
     with pytest.raises(ValueError, match=re.escape(repr(a))):
         antichain_path(a3_wd, a3_ar, a)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_staircase_turns_match_the_hammock_grid(n):
+    # the path turns from the column wire onto the row wire of each position's
+    # grid cell, in the order of descending grid row
+    for q in all_orientations(path_diagram(n)):
+        for word in _adapted_words(q, limit=6):
+            ar = build_ar(q, word)
+            wd = build_wiring(word, n)
+            for i in range(1, n + 1):
+                for a in antichains(ar, i):
+                    path = antichain_path(wd, ar, a)
+                    turns = [
+                        (low, high)
+                        for high, low in zip(path.wires, path.wires[1:])
+                        if high > i >= low
+                    ]
+                    assert turns == reference.staircase_turns(ar, a)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_forbidden_crossings_match_definition(n):
+    for q in all_orientations(path_diagram(n)):
+        word = adapted_word(q)
+        wd = build_wiring(word, n)
+        for i in range(1, n + 1):
+            assert wiring._table(wd, i).forbidden == reference.forbidden_crossings(word, n, i)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
