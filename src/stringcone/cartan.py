@@ -142,14 +142,14 @@ def reflect_weight(d: DynkinDiagram, i: int, v: Vector) -> Vector:
     """Simple reflection s_i on a vector in fundamental-weight coordinates.
 
     Uses s_i(w_j) = w_j - delta_ij a_i, with a_i expressed in the weight basis
-    through the Cartan matrix.
+    through column i of the Cartan matrix.  Simply laced Cartan matrices are
+    symmetric, so that column is the cached row i.
     """
     _check_letter(d, i)
     coef = v[i - 1]
     if coef == 0:
         return tuple(v)
-    col = [cartan_matrix(d)[k][i - 1] for k in range(d.n)]
-    return tuple(x - coef * c for x, c in zip(v, col))
+    return tuple(x - coef * c for x, c in zip(v, cartan_matrix(d)[i - 1]))
 
 
 def weyl_act(d: DynkinDiagram, word, v: Vector, basis: str = "root") -> Vector:

@@ -233,7 +233,9 @@ def _dispatch(args) -> tuple[str, int]:
 
     if args.command == "crystal":
         if args.param == "lusztig":
-            graph = lusztig.lusztig_crystal(arquiver.build_ar(q, word), args.depth)
+            ar = arquiver.build_ar(q, word)
+            verify.require_condition_L(ar)
+            graph = lusztig.lusztig_crystal(ar, args.depth)
         else:
             graph = strings.string_crystal(q.diagram, word, args.depth)
         payload = {

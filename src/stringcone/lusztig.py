@@ -44,8 +44,9 @@ class _Entry(NamedTuple):
 
 
 class _TypeTable(NamedTuple):
-    """The antichains of one type in (ideal size, positions) order, each with its
-    entry and its ladder step (parent, x, tx).
+    """The antichains of one type in (ideal size, positions) order: `rows` holds
+    each (antichain, entry) and `steps` each ladder step (parent, x, tx), index
+    for index, and `entries` maps an antichain to its entry.
 
     x is the 0-based index of A's last position, a maximal element of A's
     ideal; tx is that of its translate, or -1 for a projective.  Removing the
@@ -54,6 +55,7 @@ class _TypeTable(NamedTuple):
     """
 
     entries: Mapping[Antichain, _Entry]
+    rows: tuple[tuple[Antichain, _Entry], ...]
     steps: tuple[tuple[int, int, int], ...]
 
 
@@ -115,7 +117,9 @@ def _table(ar: ARQuiver, i: int) -> _TypeTable:
                     {"type": i, "antichain": positions, "removed": x},
                 )
             steps.append((parent, x - 1, ar.tau[x] - 1 if x in ar.tau else -1))
-        ar._cache[key] = _TypeTable(MappingProxyType(entries), tuple(steps))
+        ar._cache[key] = _TypeTable(
+            MappingProxyType(entries), tuple(entries.items()), tuple(steps)
+        )
     return ar._cache[key]
 
 
@@ -128,7 +132,7 @@ def _entry(ar: ARQuiver, a: Antichain) -> _Entry:
 
 def antichains(ar: ARQuiver, i: int) -> tuple[Antichain, ...]:
     """All nonempty antichains of the type-i poset, ordered by (ideal size, positions)."""
-    return tuple(_table(ar, i).entries)
+    return tuple(a for a, _ in _table(ar, i).rows)
 
 
 def ideal(ar: ARQuiver, a: Antichain) -> tuple[int, ...]:
@@ -181,6 +185,11 @@ def maximal_antichain(ar: ARQuiver, i: int, t) -> Antichain:
     failure (InvariantViolation) signals a non-adapted word or a quiver without
     the multiplicity-one property.
     """
+    return _maximal_row(ar, i, t)[0]
+
+
+def _maximal_row(ar: ARQuiver, i: int, t) -> tuple[Antichain, _Entry]:
+    """`maximal_antichain` with its table entry."""
     _check_length(ar, t)
     table = _table(ar, i)
     tz = (*t, 0)  # index -1 reads 0: no translate
@@ -191,13 +200,14 @@ def maximal_antichain(ar: ARQuiver, i: int, t) -> Antichain:
         j += 1
     f.pop()
     zeta = max(f)
-    argmax = [row for row, value in zip(table.entries.items(), f) if value == zeta]
+    rows = table.rows
+    argmax = [rows[j] for j, value in enumerate(f) if value == zeta]
     union = 0
     for _, e in argmax:
         union |= e.mask
-    for a, e in argmax:
-        if e.mask == union:
-            return a
+    for row in argmax:
+        if row[1].mask == union:
+            return row
     raise InvariantViolation(
         "maximizer antichains have no unique maximum",
         {"type": i, "t": tuple(t), "maximizers": [a.positions for a, _ in argmax]},
@@ -209,7 +219,7 @@ def lusztig_e(ar: ARQuiver, i: int, t) -> Vector:
     t = tuple(t)
     if min(t, default=0) < 0:
         raise ValueError("multiplicity vectors must be nonnegative")
-    out = tuple(map(add, t, move(ar, maximal_antichain(ar, i, t))))
+    out = tuple(map(add, t, _maximal_row(ar, i, t)[1].move))
     if min(out, default=0) < 0:
         raise InvariantViolation(
             "raising gave a negative multiplicity", {"type": i, "t": t, "result": out}
@@ -220,7 +230,7 @@ def lusztig_e(ar: ARQuiver, i: int, t) -> Vector:
 def all_moves(ar: ARQuiver) -> list[tuple[Antichain, Vector]]:
     """Every antichain move of every type, in canonical order (crystal moves
     only where `quiver.condition_L` holds, which callers that need it check)."""
-    return [(a, e.move) for i in range(1, ar.n + 1) for a, e in _table(ar, i).entries.items()]
+    return [(a, e.move) for i in range(1, ar.n + 1) for a, e in _table(ar, i).rows]
 
 
 def move_vectors(ar: ARQuiver, typed: bool = False) -> frozenset:

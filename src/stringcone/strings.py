@@ -40,9 +40,13 @@ def _shift(a: tuple[int, ...], k: int, delta: int) -> tuple[int, ...]:
     return a[:k] + (a[k] + delta,) + a[k + 1:]
 
 
+def _check_length(a, word) -> None:
+    if len(a) != len(word):
+        raise ValueError(f"string vector has {len(a)} entries, not one per letter: {len(word)}")
+
+
 def _r_vector(rows, a) -> list[int]:
-    if len(a) != len(rows):
-        raise ValueError(f"string vector has {len(a)} entries, not one per letter: {len(rows)}")
+    _check_length(a, rows)
     r = [0] * len(rows)
     for j, x in enumerate(a):
         _bump(r, rows[j], j, x)
@@ -170,6 +174,8 @@ def string_crystal(d: DynkinDiagram, word, depth: int) -> CrystalGraph:
 
 def string_weight(d: DynkinDiagram, word, a) -> Vector:
     """Sum of a_k times the simple root of the k-th letter."""
+    word = tuple(word)
+    _check_length(a, word)
     out = [0] * d.n
     for value, letter in zip(a, word):
         out[letter - 1] += value

@@ -113,6 +113,15 @@ def check_cone(diagram, word, normals, box: int) -> VerificationReport:
     return VerificationReport(f"word {','.join(map(str, word))}", name, passed, witness)
 
 
+def require_condition_L(ar: arquiver.ARQuiver) -> None:
+    """Raise ConditionLFails unless the quiver of `ar` has the multiplicity-one
+    property, without which the antichain moves are no crystal operators."""
+    if not condition_L(ar.quiver, ar):
+        raise ConditionLFails(
+            f"quiver {quiver_spec(ar.quiver)} has a module with multiplicity two"
+        )
+
+
 def check_conjecture(q: Quiver, word=None, box: int = 2) -> VerificationReport:
     """Bounded-box instance of the move-vectors-define-the-cone statement.
 
@@ -121,8 +130,7 @@ def check_conjecture(q: Quiver, word=None, box: int = 2) -> VerificationReport:
     if word is None:
         word = adapted_word(q)
     ar = arquiver.build_ar(q, word)
-    if not condition_L(q, ar):
-        raise ConditionLFails(f"quiver {quiver_spec(q)} has a module with multiplicity two")
+    require_condition_L(ar)
     normals = lusztig.move_vectors(ar)
     report = check_cone(q.diagram, word, normals, box)
     return VerificationReport(
@@ -253,10 +261,11 @@ def _structural(
 
     # membership pairing: (root, rho_i) equals the i-th left-label coordinate
     bad = []
+    rhos = [rho(q, i) for i in range(1, n + 1)]
     for k in range(1, ar.N + 1):
         lm = wiring.lambda_minus(wd, k)
         for i in range(1, n + 1):
-            if pair_root_weight(ar.root(k), rho(q, i)) != lm[i - 1]:
+            if pair_root_weight(ar.root(k), rhos[i - 1]) != lm[i - 1]:
                 bad.append((k, i))
     report("membership_pairing", not bad, bad[:3] or None)
 

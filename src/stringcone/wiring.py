@@ -41,6 +41,7 @@ class WiringDiagram:
     pairs: tuple[tuple[int, int], ...]
     occupancy: tuple[tuple[int, ...], ...]  # wires per track, per gap 0..N
     wire_route: dict[int, tuple[int, ...]]
+    _crossing: Mapping[tuple[int, int], int] = field(repr=False, compare=False)  # pair -> k
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -51,8 +52,11 @@ class WiringDiagram:
         return self.word[k - 1]
 
     def crossing_of(self, a: int, b: int) -> int:
-        a, b = min(a, b), max(a, b)
-        return self.pairs.index((a, b)) + 1
+        """The crossing k of wires a and b; ValueError when they do not cross."""
+        k = self._crossing.get((min(a, b), max(a, b)))
+        if k is None:
+            raise ValueError(f"wires {a} and {b} do not cross")
+        return k
 
 
 def build_wiring(word, n: int) -> WiringDiagram:
@@ -88,6 +92,7 @@ def build_wiring(word, n: int) -> WiringDiagram:
         pairs=tuple(pairs),
         occupancy=tuple(occupancy),
         wire_route={j: tuple(r) for j, r in route.items()},
+        _crossing=MappingProxyType({pair: k for k, pair in enumerate(pairs, start=1)}),
     )
 
 
@@ -186,12 +191,8 @@ def is_gp_path(wd: WiringDiagram, path: GPPath) -> bool:
         return False
     graph, forbidden, _ = _table(wd, i)
     node: Node = ("l", i + 1)
-    for idx, k in enumerate(path.crossings):
-        wire = path.wires[idx]
-        if (wire, k) not in graph.get(node, ()):
-            return False
-        out_wire = path.wires[idx + 1]
-        if out_wire not in wd.pairs[k - 1]:
+    for k, wire, out_wire in zip(path.crossings, path.wires, path.wires[1:]):
+        if (wire, k) not in graph.get(node, ()) or out_wire not in wd.pairs[k - 1]:
             return False
         if out_wire == wire and (k, wire) in forbidden:
             return False
@@ -285,20 +286,28 @@ def zones(wd: WiringDiagram, i: int) -> Zones:
     return Zones(limiting_path(wd, i), frozenset(z), frozenset(y))
 
 
-def path_antichain(wd: WiringDiagram, ar: ARQuiver, path: GPPath) -> Antichain:
+def _turns(ar: ARQuiver, path: GPPath) -> Antichain:
     """Positions where the path turns from a forward wire onto a backward one."""
-    if tuple(ar.word) != wd.word:
-        raise NotAdapted("translation quiver and wiring diagram use different words")
     i = path.type_index
-    turns = []
-    for idx, k in enumerate(path.crossings):
-        h, l = path.wires[idx], path.wires[idx + 1]
-        if h > i and l <= i:
-            turns.append(k)
-    positions = tuple(sorted(turns))
-    if any(ar.hom_table()[k - 1][i - 1] <= 0 for k in positions):
+    positions = tuple(
+        sorted(k for k, h, l in zip(path.crossings, path.wires, path.wires[1:]) if h > i >= l)
+    )
+    hom = ar.hom_table()
+    if any(hom[k - 1][i - 1] <= 0 for k in positions):
         raise InvariantViolation("path turns outside the hammock", {"type": i, "turns": positions})
     return Antichain(i, positions)
+
+
+def path_antichain(wd: WiringDiagram, ar: ARQuiver, path: GPPath) -> Antichain:
+    """Positions where the path turns from a forward wire onto a backward one.
+
+    Raises ValueError for a path that `is_gp_path` refuses.
+    """
+    if tuple(ar.word) != wd.word:
+        raise NotAdapted("translation quiver and wiring diagram use different words")
+    if not is_gp_path(wd, path):
+        raise ValueError(f"{path} is not a path of its type's oriented wiring diagram")
+    return _turns(ar, path)
 
 
 def antichain_path(wd: WiringDiagram, ar: ARQuiver, a: Antichain) -> GPPath:
@@ -319,7 +328,7 @@ def antichain_path(wd: WiringDiagram, ar: ARQuiver, a: Antichain) -> GPPath:
     )
     wires = [i + 1, *(wire for row, column in turns for wire in (column, row)), i]
     path = _staircase(wd, i, tuple(wire for wire, _ in groupby(wires)))
-    if not is_gp_path(wd, path) or path_antichain(wd, ar, path) != a:
+    if not is_gp_path(wd, path) or _turns(ar, path) != a:
         raise InvariantViolation(
             "reconstructed staircase does not realize the antichain",
             {"type": i, "antichain": a.positions, "crossings": path.crossings},

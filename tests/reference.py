@@ -15,9 +15,10 @@ from stringcone.cartan import (
     diagram_type,
     num_positive_roots,
     positive_roots,
+    simple_root,
     weyl_act,
 )
-from stringcone.quiver import hom_to_simple, sink_order
+from stringcone.quiver import ringel_form, sink_order
 
 
 def cone_points(normals, box: int, dim: int) -> frozenset[tuple[int, ...]]:
@@ -34,6 +35,13 @@ def alpha_to_omega(d, v):
     """Convert simple-root coordinates to fundamental-weight coordinates."""
     cm = cartan_matrix(d)
     return tuple(sum(cm[i][j] * v[j] for j in range(d.n)) for i in range(d.n))
+
+
+def reflect_weight(d, i, v):
+    """s_i on fundamental-weight coordinates: v minus v_i times the simple root
+    a_i written in the weight basis."""
+    a_i = alpha_to_omega(d, simple_root(d, i))
+    return tuple(x - v[i - 1] * c for x, c in zip(v, a_i))
 
 
 def coxeter_permutation(q) -> tuple[int, ...]:
@@ -56,9 +64,19 @@ def is_reduced_w0(d, word) -> bool:
     return all(all(x <= 0 for x in weyl_act(d, word, beta)) for beta in positive_roots(d))
 
 
+def hom_to_simple(ar, k, i) -> int:
+    """dim Hom from the module at position k to the simple at i: the Ringel form
+    of its root with the simple root when k precedes the simple's position in
+    the translation quiver, and 0 otherwise."""
+    simple = simple_root(ar.quiver.diagram, i)
+    if not ar.leq(k, ar.position_by_root[simple]):
+        return 0
+    return ringel_form(ar.quiver, ar.root(k), simple)
+
+
 def _poset(ar, i) -> list[int]:
     """Positions whose module has a nonzero map to the simple at i."""
-    return [k for k in range(1, ar.N + 1) if hom_to_simple(ar.quiver, ar, k, i) > 0]
+    return [k for k in range(1, ar.N + 1) if hom_to_simple(ar, k, i) > 0]
 
 
 def ideal(ar, a) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ from stringcone.cartan import (
     num_positive_roots,
     path_diagram,
     positive_roots,
+    reflect_weight,
     reflection_ordering,
     root_height,
     simple_root,
@@ -159,6 +160,14 @@ def test_basis_conversion_roundtrip(data):
     vec = tuple(data.draw(st.integers(-5, 5)) for _ in range(d.n))
     got = weyl_act(d, (i,), alpha_to_omega(d, vec), basis="weight")
     assert got == alpha_to_omega(d, weyl_act(d, (i,), vec))
+
+
+@given(st.data())
+def test_reflect_weight_matches_the_alpha_to_omega_route(data):
+    d = data.draw(st.sampled_from(ALL_SMALL_DIAGRAMS[:6] + [d_diagram(4), d_diagram(5)]))
+    vec = tuple(data.draw(st.integers(-5, 5)) for _ in range(d.n))
+    for i in range(1, d.n + 1):
+        assert reflect_weight(d, i, vec) == reference.reflect_weight(d, i, vec)
 
 
 @given(st.data())

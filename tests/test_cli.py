@@ -132,7 +132,9 @@ def test_invariant_violation_exits_one(capsys, monkeypatch):
     # which must survive python -O
     from stringcone import lusztig
 
-    monkeypatch.setattr(lusztig, "move", lambda ar, a: (-1,) * ar.N)
+    monkeypatch.setattr(
+        lusztig, "_maximal_row", lambda ar, i, t: (None, lusztig._Entry((), (), (-1,) * ar.N, 0))
+    )
     code, out, err = run(capsys, "crystal", "--quiver", "2>1", "--depth", "1")
     assert code == 1 and out == ""
     assert "internal invariant failed: raising gave a negative multiplicity" in err
@@ -321,6 +323,7 @@ REFUSED = [
     "roots --quiver 2>1 --word=0,1,2",
     "verify theorem --quiver 2>1 --word 3,1,2",
     "verify conjecture --quiver 2>1 --word 3,1,2",
+    "crystal --quiver 3>1,3>2,3>4 --param lusztig --depth 2",
 ]
 
 

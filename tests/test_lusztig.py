@@ -196,6 +196,15 @@ def test_maximal_antichain_matches_definition(q, data):
     _check_maximal(ar, data.draw(st.lists(st.integers(0, 5), min_size=ar.N, max_size=ar.N)))
 
 
+@given(st.sampled_from(_MAXIMAL_INSTANCES), st.data())
+def test_lusztig_e_adds_the_move_of_the_maximal_antichain(q, data):
+    ar = build_ar(q)
+    t = tuple(data.draw(st.lists(st.integers(0, 5), min_size=ar.N, max_size=ar.N)))
+    for i in range(1, ar.n + 1):
+        step = move(ar, maximal_antichain(ar, i, t))
+        assert lusztig_e(ar, i, t) == tuple(x + m for x, m in zip(t, step))
+
+
 def test_raising_operator_paper_example(a3_ar):
     assert lusztig_e(a3_ar, 2, T_PAPER) == (2, 2, 1, 1, 3, 0)
 

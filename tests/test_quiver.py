@@ -20,6 +20,7 @@ from stringcone.quiver import (
     sink_order,
 )
 
+import reference
 from reference import coxeter_permutation
 
 A4_ZIGZAG = "2>1,2>3,4>3"  # 1 <- 2 -> 3 <- 4
@@ -123,6 +124,20 @@ def test_condition_d4_scan():
     # exactly the orientation with the branch vertex as a source fails
     assert failing == {"3>1,3>2,3>4"}
     assert condition_L(parse_quiver("4>3,3>1,3>2"), build_ar(parse_quiver("4>3,3>1,3>2")))
+
+
+@pytest.mark.parametrize(
+    "d", [path_diagram(n) for n in range(1, 6)] + [d_diagram(4), d_diagram(5)],
+    ids=lambda d: f"n{d.n}e{len(d.edges)}",
+)
+def test_hom_table_matches_the_ringel_form(d):
+    # the O(n) column read of hom_to_simple against the n^2 form, behind the same gate
+    for q in all_orientations(d):
+        ar = build_ar(q)
+        assert ar.hom_table() == tuple(
+            tuple(reference.hom_to_simple(ar, k, i) for i in range(1, d.n + 1))
+            for k in range(1, ar.N + 1)
+        )
 
 
 def test_hom_ext_split_consistency(a3_ar):

@@ -75,12 +75,13 @@ def test_letter_absent():
         lambda a: string_e(D2, W2, 2, a),
         lambda a: string_f(D2, W2, 1, a),
         lambda a: is_string(D2, W2, a),
+        lambda a: string_weight(D2, W2, a),
     ],
-    ids=["string_r", "string_e", "string_f", "is_string"],
+    ids=["string_r", "string_e", "string_f", "is_string", "string_weight"],
 )
 @pytest.mark.parametrize("a", [(), (1, 0), (0, 0), (0, 0, 0, 0), (-1, 0)])
 def test_string_side_rejects_wrong_length_vectors(call, a):
-    # every caller of the r-vector engine refuses a vector not of the word's length
+    # every reader of a string vector refuses one not of the word's length
     with pytest.raises(ValueError, match=f"has {len(a)} entries"):
         call(a)
 

@@ -16,6 +16,7 @@ from stringcone.cartan import pair_root_weight
 from stringcone.quiver import adapted_word, all_orientations, phi_R, rho
 from stringcone import wiring
 from stringcone.wiring import (
+    GPPath,
     antichain_path,
     build_wiring,
     chamber_weight,
@@ -199,6 +200,24 @@ def test_path_to_antichain_example(a3_wd, a3_ar):
     assert path_antichain(a3_wd, a3_ar, example) == Antichain(2, (4, 5))
 
 
+@pytest.mark.parametrize(
+    "path",
+    [
+        GPPath(2, (3,), (3, 1)),
+        GPPath(2, (1,), (3, 1)),
+        GPPath(2, (2, 5, 3, 4), (3, 3, 1, 4, 2)),
+        GPPath(2, (2, 5, 3, 4, 1), (3, 3, 1, 4, 2)),
+        GPPath(7, (), (8, 7)),
+    ],
+    ids=["wrong-exit-wire", "turns-outside-the-hammock", "stops-short", "one-wire-short",
+         "no-such-type"],
+)
+def test_path_antichain_rejects_non_gp_paths(a3_wd, a3_ar, path):
+    assert not is_gp_path(a3_wd, path)
+    with pytest.raises(ValueError, match="is not a path"):
+        path_antichain(a3_wd, a3_ar, path)
+
+
 def test_round_trip_on_a3(a3_wd, a3_ar):
     for i in (1, 2, 3):
         for a in antichains(a3_ar, i):
@@ -283,6 +302,19 @@ def test_staircase_turns_match_the_hammock_grid(n):
                         if high > i >= low
                     ]
                     assert turns == reference.staircase_turns(ar, a)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_crossing_of_matches_the_pair_list(n):
+    for q in all_orientations(path_diagram(n)):
+        wd = build_wiring(adapted_word(q), n)
+        for a in range(1, n + 2):
+            for b in range(a + 1, n + 2):
+                k = wd.pairs.index((a, b)) + 1
+                assert wd.crossing_of(a, b) == wd.crossing_of(b, a) == k
+        for a, b in ((1, 1), (n + 1, n + 1), (0, 1), (1, n + 2)):
+            with pytest.raises(ValueError):
+                wd.crossing_of(a, b)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
