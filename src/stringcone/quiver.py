@@ -153,11 +153,6 @@ def ringel_matrix(q: Quiver) -> tuple[Vector, ...]:
     return tuple(tuple(r) for r in rows)
 
 
-def ringel_form(q: Quiver, b1: Vector, b2: Vector) -> int:
-    rm = ringel_matrix(q)
-    return sum(b1[i] * rm[i][j] * b2[j] for i in range(q.diagram.n) for j in range(q.diagram.n))
-
-
 def rho(q: Quiver, i: int) -> Vector:
     """Weight whose omega coordinates are the i-th column of the Ringel matrix."""
     rm = ringel_matrix(q)

@@ -3,7 +3,7 @@ test, brute-force string-set generation, and integer cone point utilities."""
 
 from __future__ import annotations
 
-from .cartan import DynkinDiagram, Vector, cartan_matrix
+from .cartan import DynkinDiagram, cartan_matrix
 from .crystal import CrystalGraph, bfs_crystal
 
 
@@ -170,16 +170,6 @@ def string_crystal(d: DynkinDiagram, word, depth: int) -> CrystalGraph:
     word = tuple(word)
     zero = (0,) * len(word)
     return bfs_crystal(zero, sorted(set(word)), lambda i, v: string_e(d, word, i, v), depth)
-
-
-def string_weight(d: DynkinDiagram, word, a) -> Vector:
-    """Sum of a_k times the simple root of the k-th letter."""
-    word = tuple(word)
-    _check_length(a, word)
-    out = [0] * d.n
-    for value, letter in zip(a, word):
-        out[letter - 1] += value
-    return tuple(out)
 
 
 def in_cone(a, normals) -> bool:

@@ -141,8 +141,12 @@ def check_conjecture(q: Quiver, word=None, box: int = 2) -> VerificationReport:
 def structural_reports(q: Quiver, word=None) -> list[VerificationReport]:
     """Property suite for one instance; type A gets the wiring comparisons.
 
-    Crystal checks (to depth 3) presume the multiplicity-one property and are
-    skipped where it fails (they would test a vacuous hypothesis).
+    The crystal checks presume the multiplicity-one property and are skipped
+    where it fails (they would test a vacuous hypothesis).  They read the move
+    table, not a crystal graph: `move_weight_increment` checks that every type-i
+    move vector has weight alpha_i, which covers every raising step at any
+    depth, and `raising_witness` that raising each antichain's u-vector adds
+    exactly its move.
     """
     if word is None:
         word = adapted_word(q)
@@ -210,14 +214,12 @@ def _structural(
     report("hom_nonnegative", not bad, bad[:3] or None)
 
     if condition_L(q, ar):
-        # raising operator adds the right simple root to the weight
-        bad = []
-        graph = lusztig.lusztig_crystal(ar, 3)
-        weight = {v: lusztig.lusztig_weight(ar, v) for v in graph.vertices}
-        for v, i, w in graph.edges:
-            diff = tuple(a - b for a, b in zip(weight[w], weight[v]))
-            if diff != simple[i - 1]:
-                bad.append((v, i))
+        # every type-i move has weight alpha_i, so every raising step adds it
+        bad = [
+            (a.type_index, a.positions)
+            for a, vec in lusztig.all_moves(ar)
+            if lusztig.lusztig_weight(ar, vec) != simple[a.type_index - 1]
+        ]
         report("move_weight_increment", not bad, bad[:3] or None)
 
         # witness property: raising the translated-minimals module applies the move

@@ -5,6 +5,7 @@ test modules `assert` statements vanish under `python -O`, so nothing here
 asserts: a reference only computes.
 """
 
+from collections import deque
 from itertools import product
 from typing import NamedTuple
 
@@ -18,7 +19,7 @@ from stringcone.cartan import (
     simple_root,
     weyl_act,
 )
-from stringcone.quiver import ringel_form, sink_order
+from stringcone.quiver import ringel_matrix, sink_order
 
 
 def cone_points(normals, box: int, dim: int) -> frozenset[tuple[int, ...]]:
@@ -62,6 +63,62 @@ def is_reduced_w0(d, word) -> bool:
     if len(word) != num_positive_roots(d) or not all(1 <= i <= d.n for i in word):
         return False
     return all(all(x <= 0 for x in weyl_act(d, word, beta)) for beta in positive_roots(d))
+
+
+def ringel_form(q, b1, b2) -> int:
+    """The homological bilinear form <b1, b2> through the Ringel matrix."""
+    rm = ringel_matrix(q)
+    n = q.diagram.n
+    return sum(b1[i] * rm[i][j] * b2[j] for i in range(n) for j in range(n))
+
+
+def string_weight(d, word, a) -> tuple[int, ...]:
+    """Sum of a_k times the simple root of the k-th letter."""
+    out = [0] * d.n
+    for value, letter in zip(a, word):
+        out[letter - 1] += value
+    return tuple(out)
+
+
+def same_labelled_graph(g1, g2) -> bool:
+    """Whether the forced source-to-source vertex matching is a graph isomorphism.
+
+    Out-degree one per label makes the matching unique: pair the sources and
+    propagate along equal labels; any clash means two paths that meet in one
+    graph but not the other.
+    """
+    pair = {g1.source: g2.source}
+    back = {g2.source: g1.source}
+    out1 = _out_maps(g1)
+    out2 = _out_maps(g2)
+    queue = deque([g1.source])
+    while queue:
+        v = queue.popleft()
+        w = pair[v]
+        m1 = out1.get(v, {})
+        m2 = out2.get(w, {})
+        if set(m1) != set(m2):
+            return False
+        for i, v2 in m1.items():
+            w2 = m2[i]
+            if v2 in pair:
+                if pair[v2] != w2:
+                    return False
+            elif w2 in back:
+                return False
+            else:
+                pair[v2] = w2
+                back[w2] = v2
+                queue.append(v2)
+    return len(pair) == len(g1.vertices) == len(g2.vertices)
+
+
+def _out_maps(g):
+    """Each vertex's outgoing edges as a label -> target map."""
+    out = {}
+    for a, i, b in g.edges:
+        out.setdefault(a, {})[i] = b
+    return out
 
 
 def hom_to_simple(ar, k, i) -> int:

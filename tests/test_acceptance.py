@@ -6,7 +6,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 import contextlib
 from stringcone.arquiver import build_ar
 from stringcone.cartan import d_diagram, path_diagram
-from stringcone.crystal import same_labelled_graph
 from stringcone.lusztig import (
     antichains,
     f_value,
@@ -25,7 +24,6 @@ from stringcone.strings import (
     string_crystal,
     string_e,
     string_f,
-    string_weight,
 )
 from stringcone.verify import (
     check_cone,
@@ -34,6 +32,8 @@ from stringcone.verify import (
     structural_reports,
 )
 from stringcone.wiring import antichain_path, build_wiring, gp_cone, gp_paths, k_vector
+
+from reference import same_labelled_graph, string_weight
 
 
 @contextlib.contextmanager

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 import reference
 from stringcone.arquiver import build_ar
 from stringcone.cartan import InvariantViolation, d_diagram, path_diagram
-from stringcone.crystal import same_labelled_graph
 from stringcone.lusztig import (
     Antichain,
     all_moves,
@@ -25,6 +24,8 @@ from stringcone.lusztig import (
     u_vector,
 )
 from stringcone.quiver import all_orientations, condition_L, parse_quiver
+
+from reference import same_labelled_graph
 
 T_PAPER = (3, 2, 1, 1, 2, 0)
 

@@ -14,14 +14,13 @@ from stringcone.quiver import (
     parse_quiver,
     quiver_spec,
     reflect_sink,
-    ringel_form,
     ringel_matrix,
     segmented_cycle,
     sink_order,
 )
 
 import reference
-from reference import coxeter_permutation
+from reference import coxeter_permutation, ringel_form
 
 A4_ZIGZAG = "2>1,2>3,4>3"  # 1 <- 2 -> 3 <- 4
 

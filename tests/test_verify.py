@@ -1,9 +1,10 @@
 import json
 import sys
+from types import MappingProxyType
 
 import pytest
 
-from stringcone import quiver, verify
+from stringcone import lusztig, quiver, verify
 from stringcone.arquiver import build_ar
 from stringcone.cartan import path_diagram
 from stringcone.lusztig import antichains, move_vectors
@@ -166,6 +167,26 @@ def test_structural_reports_clean_instances(a3, d4):
     for q, word in (a3, d4):
         reports = structural_reports(q, word)
         assert reports and all(r.passed for r in reports)
+
+
+def test_move_weight_increment_reads_every_move(monkeypatch):
+    # A4 1>2,2>3,3>4: no vertex of the depth-3 crystal raises through the type-1
+    # antichain (4,), so only a check of every move vector sees its move corrupted
+    q = parse_quiver("1>2,2>3,3>4")
+    ar = build_ar(q)
+    table = lusztig._table(ar, 1)
+    target = lusztig.Antichain(1, (4,))
+    entry = table.entries[target]
+    bad = entry._replace(move=(entry.move[0] + 1,) + entry.move[1:])
+    entries = {a: bad if a == target else e for a, e in table.rows}
+    ar._cache[("antichains", 1)] = table._replace(
+        entries=MappingProxyType(entries), rows=tuple(entries.items())
+    )
+    monkeypatch.setattr(verify.arquiver, "build_ar", lambda *args: ar)
+    reports = {r.check: r for r in structural_reports(q)}
+    increment = reports["move_weight_increment"]
+    assert not increment.passed
+    assert increment.witness == [(1, (4,))]
 
 
 def test_suite_rank_two():
