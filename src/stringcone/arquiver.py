@@ -17,6 +17,7 @@ from .cartan import (
     Vector,
     diagram_type,
     reflection_ordering,
+    simple_root,
 )
 from .quiver import NotAdapted, Quiver, adapted_word, hom_to_simple, is_adapted, segmented_cycle
 
@@ -29,6 +30,7 @@ class ARQuiver:
     arrows: tuple[tuple[int, int], ...]
     tau: dict[int, int]
     position_by_root: dict[Vector, int]
+    simple_positions: tuple[int, ...]  # position of the simple root at i, index i-1
     _reach: tuple[frozenset[int], ...] = field(repr=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -107,13 +109,17 @@ def build_ar(q: Quiver, word=None) -> ARQuiver:
         for k2 in succ[k]:
             acc |= reach[k2 - 1]
         reach[k - 1] = frozenset(acc)
+    position_by_root = {r: k + 1 for k, r in enumerate(roots)}
     return ARQuiver(
         quiver=q,
         word=word,
         roots=roots,
         arrows=tuple(arrows),
         tau=tau,
-        position_by_root={r: k + 1 for k, r in enumerate(roots)},
+        position_by_root=position_by_root,
+        simple_positions=tuple(
+            position_by_root[simple_root(q.diagram, i)] for i in range(1, q.diagram.n + 1)
+        ),
         _reach=tuple(reach),
     )
 

@@ -250,7 +250,6 @@ def condition_L(q: Quiver, ar) -> bool:
 def hom_to_simple(q: Quiver, ar, k: int, i: int) -> int:
     """(b, a_i)_R for the root b at position k when k precedes the simple at i,
     else 0.  Pairing with a_i reads column i of the Ringel matrix."""
-    pos_simple = ar.position_by_root[simple_root(q.diagram, i)]
-    if not ar.leq(k, pos_simple):
+    if not ar.leq(k, ar.simple_positions[i - 1]):
         return 0
     return sum(b * row[i - 1] for b, row in zip(ar.root(k), ringel_matrix(q)))

@@ -123,24 +123,39 @@ def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[tuple[int, ...
     a string, and a lowering that subtracts e_k is b's first maximum of r among
     the positions of letter word[k].  So from each accepted a, the point
     b = a + e_k is accepted exactly when k is that first maximum of r(b): the
-    lowering tie rule applied at b, never the raising rule at a.  The work is
-    |strings| * N, not the (box+1)^N of a scan.
+    lowering tie rule applied at b, never the raising rule at a.
+
+    The rule is read on r(a) at the letter's positions.  Raising a_k adds a
+    fixed step d_p to each r_p, so k is the first maximum of r(b) iff
+    r(a)_p + d_p - d_k + 1 <= r(a)_k at each earlier position p of the letter
+    and r(a)_p + d_p - d_k <= r(a)_k at each later one; `ties[k]` holds these
+    (p, offset) pairs.  Only an accepted, new b is built and its r bumped.  The
+    work is |strings| * N, not the (box+1)^N of a scan.
     """
     word = tuple(word)
     positions, rows = _layout(d, word)
+    ties = []
+    for k, letter in enumerate(word):
+        step = _bump([0] * len(word), rows[k], k, 1)
+        ties.append(
+            [(p, step[p] - step[k] + (1 if p < k else 0)) for p in positions[letter] if p != k]
+        )
     zero = (0,) * len(word)
     found = {zero}
     stack = [(zero, [0] * len(word))]
     while stack:
         a, r = stack.pop()
-        for k, letter in enumerate(word):
+        for k, tie in enumerate(ties):
             if a[k] < box:
-                b = _shift(a, k, 1)
-                if b not in found:
-                    rb = _bump(r.copy(), rows[k], k, 1)
-                    if _argmax(rb, positions[letter]) == k:
+                top = r[k]
+                for p, offset in tie:
+                    if r[p] + offset > top:
+                        break
+                else:
+                    b = a[:k] + (a[k] + 1,) + a[k + 1:]
+                    if b not in found:
                         found.add(b)
-                        stack.append((b, rb))
+                        stack.append((b, _bump(r.copy(), rows[k], k, 1)))
     return frozenset(found)
 
 
@@ -152,17 +167,20 @@ def generate_strings(d: DynkinDiagram, word, box: int) -> frozenset[tuple[int, .
     """
     word = tuple(word)
     positions, rows = _layout(d, word)
+    last_first = [ps[::-1] for ps in positions.values()]
     zero = (0,) * len(word)
     seen = {zero}
     stack = [(zero, [0] * len(word))]
     while stack:
         a, r = stack.pop()
-        for ps in positions.values():
-            k = _argmax(r, reversed(ps))
-            b = _shift(a, k, 1)
-            if a[k] < box and b not in seen:
-                seen.add(b)
-                stack.append((b, _bump(r.copy(), rows[k], k, 1)))
+        at = r.__getitem__
+        for ps in last_first:
+            k = max(ps, key=at)  # the raising rule: the last maximum of r(a)
+            if a[k] < box:
+                b = a[:k] + (a[k] + 1,) + a[k + 1:]
+                if b not in seen:
+                    seen.add(b)
+                    stack.append((b, _bump(r.copy(), rows[k], k, 1)))
     return frozenset(seen)
 
 
@@ -186,18 +204,23 @@ def in_cone(a, normals) -> bool:
 def cone_points_pruned(normals, box: int, dim: int) -> frozenset[tuple[int, ...]]:
     """Integer points of the box [0..box]^dim satisfying every inequality.
 
-    A coordinate search: an inequality is checked as soon as its last
-    supporting coordinate is assigned, cutting entire subtrees of the box.
+    A coordinate search.  Each nonzero normal is kept as its support, grouped
+    by its last supporting coordinate k with c_k apart.  Once x_0..x_{k-1} are
+    set, such an inequality reads partial + c_k * x_k >= 0, so it bounds x_k
+    exactly: x_k >= ceil(-partial / c_k) when c_k > 0 and
+    x_k <= floor(partial / -c_k) when c_k < 0, both by integer floor division.
+    Each node loops over the values between its bounds and tests nothing else.
     """
     normals = [tuple(v) for v in normals]
     for normal in normals:
         if len(normal) != dim:
             raise ValueError("dimension mismatch between box and normal")
-    by_last: list[list[tuple[int, ...]]] = [[] for _ in range(dim)]
+    by_last: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(dim)]
     for normal in normals:
-        support = [k for k, c in enumerate(normal) if c]
+        support = [(j, c) for j, c in enumerate(normal) if c]
         if support:
-            by_last[max(support)].append(normal)
+            k, c_k = support.pop()
+            by_last[k].append((c_k, support))
     out: list[tuple[int, ...]] = []
     point = [0] * dim
 
@@ -205,13 +228,16 @@ def cone_points_pruned(normals, box: int, dim: int) -> frozenset[tuple[int, ...]
         if k == dim:
             out.append(tuple(point))
             return
-        for v in range(box + 1):
+        lo, hi = 0, box
+        for c_k, support in by_last[k]:
+            partial = sum(c * point[j] for j, c in support)
+            if c_k > 0:
+                lo = max(lo, -(partial // c_k))
+            else:
+                hi = min(hi, partial // -c_k)
+        for v in range(lo, hi + 1):
             point[k] = v
-            if all(
-                sum(c * point[j] for j, c in enumerate(normal) if c) >= 0
-                for normal in by_last[k]
-            ):
-                walk(k + 1)
+            walk(k + 1)
         point[k] = 0
 
     walk(0)

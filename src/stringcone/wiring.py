@@ -42,6 +42,7 @@ class WiringDiagram:
     occupancy: tuple[tuple[int, ...], ...]  # wires per track, per gap 0..N
     wire_route: dict[int, tuple[int, ...]]
     _crossing: Mapping[tuple[int, int], int] = field(repr=False, compare=False)  # pair -> k
+    _caps: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)  # 0, level crossings, N+1
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -93,6 +94,10 @@ def build_wiring(word, n: int) -> WiringDiagram:
         occupancy=tuple(occupancy),
         wire_route={j: tuple(r) for j, r in route.items()},
         _crossing=MappingProxyType({pair: k for k, pair in enumerate(pairs, start=1)}),
+        _caps=tuple(
+            (0, *(k for k, t in enumerate(word, start=1) if t == band), len(word) + 1)
+            for band in range(1, n + 1)
+        ),
     )
 
 
@@ -263,14 +268,13 @@ def zones(wd: WiringDiagram, i: int) -> Zones:
     and above wire i+1, with the limiting path.
 
     Each band's chambers lie between its consecutive caps: 0, the crossings at
-    that level, then N+1.  A chamber's label is read at its left gap, and its
+    that level, then N+1, listed once per diagram.  A chamber's label is read at its left gap, and its
     corners are its caps and the crossings on the neighbouring levels.
     """
     v_alpha = wd.crossing_of(i, i + 1)
     z: set[int] = set()
     y: set[int] = set()
-    for band in range(1, wd.n + 1):
-        caps = [0, *(k for k in range(1, wd.N + 1) if wd.level(k) == band), wd.N + 1]
+    for band, caps in enumerate(wd._caps, start=1):
         for lo, hi in zip(caps, caps[1:]):
             label = wd.occupancy[lo][:band]
             if i not in label or i + 1 in label:

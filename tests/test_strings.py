@@ -136,6 +136,16 @@ def test_oracle_agreement_type_a(n):
             assert naive == generated
 
 
+def test_strings_in_box_total_over_type_a_ranks_one_to_four():
+    # the number of strings that the box-2 sweep of ranks 1-4 compares
+    total = sum(
+        len(strings_in_box(path_diagram(n), adapted_word(q), 2))
+        for n in range(1, 5)
+        for q in all_orientations(path_diagram(n))
+    )
+    assert total == 20760
+
+
 def test_oracle_agreement_d4(d4):
     q, word = d4
     d = q.diagram
@@ -226,6 +236,29 @@ def test_pruned_scan_matches_naive(data):
         )
     )
     assert cone_points_pruned(normals, box, dim) == cone_points(normals, box, dim)
+
+
+SMALL_2D = list(product(range(-3, 4), repeat=2))
+
+
+@pytest.mark.parametrize(
+    "normal_sets, dim",
+    [
+        ([[v] for v in SMALL_2D], 2),
+        ([[v, w] for v in SMALL_2D for w in SMALL_2D], 2),
+        ([[v] for v in product(range(-2, 3), repeat=3)], 3),
+    ],
+    ids=["one-normal-2d", "two-normals-2d", "one-normal-3d"],
+)
+def test_pruned_bounds_match_naive_exhaustively(normal_sets, dim):
+    # every small coefficient pattern, so each sign and remainder of the
+    # per-coordinate ceiling and floor bounds is met at every box size
+    for box in range(4):
+        for normals in normal_sets:
+            assert cone_points_pruned(normals, box, dim) == cone_points(normals, box, dim), (
+                normals,
+                box,
+            )
 
 
 def test_pretty_forms():
