@@ -152,20 +152,35 @@ def reflect_weight(d: DynkinDiagram, i: int, v: Vector) -> Vector:
     return tuple(x - coef * c for x, c in zip(v, cartan_matrix(d)[i - 1]))
 
 
+@lru_cache(maxsize=None)
+def _cartan_support(d: DynkinDiagram) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each Cartan row's nonzero entries as (0-based column, entry) pairs."""
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in cartan_matrix(d))
+
+
 def weyl_act(d: DynkinDiagram, word, v: Vector, basis: str = "root") -> Vector:
     """Apply the group element s_{i1} s_{i2} ... s_{im} to v.
 
     The last letter acts innermost, so weyl_act(d, (1, 2), v) is s_1(s_2(v)).
+    Each reflection is `reflect_root` or `reflect_weight`, applied in place on
+    the support of its Cartan row.
     """
-    if basis == "root":
-        reflect = reflect_root
-    elif basis == "weight":
-        reflect = reflect_weight
-    else:
+    if basis not in ("root", "weight"):
         raise ValueError(f"unknown basis {basis!r}")
-    for i in reversed(tuple(word)):
-        v = reflect(d, i, v)
-    return v
+    word = tuple(word)[::-1]
+    for i in word:
+        _check_letter(d, i)
+    support = _cartan_support(d)
+    out = list(v)
+    if basis == "root":
+        for i in word:
+            out[i - 1] -= sum(c * out[j] for j, c in support[i - 1])
+    else:
+        for i in word:
+            if coef := out[i - 1]:
+                for j, c in support[i - 1]:
+                    out[j] -= coef * c
+    return tuple(out)
 
 
 def pair_root_weight(root: Vector, weight: Vector) -> int:
@@ -218,7 +233,13 @@ def reflection_ordering(d: DynkinDiagram, word) -> tuple[Vector, ...]:
     prefix as the word is walked.  Raises NotReducedW0 unless every letter is
     in range, the word has length N and every b_k is a distinct positive root.
     """
-    word = tuple(word)
+    return _reflection_ordering(d, tuple(word))
+
+
+@lru_cache(maxsize=256)
+def _reflection_ordering(d: DynkinDiagram, word: tuple[int, ...]) -> tuple[Vector, ...]:
+    """`reflection_ordering`, cached per (diagram, word): the translation quiver
+    and the wiring diagram of one word both read it.  A raised error is not cached."""
     for i in word:
         if not (1 <= i <= d.n):
             raise NotReducedW0(f"letter {i} out of range 1..{d.n}")

@@ -35,12 +35,13 @@ class Antichain:
 
 class _Entry(NamedTuple):
     """One antichain A of a type table: its order ideal, complement minimals and
-    move vector, and the ideal as a bitmask (bit k for position k)."""
+    move vector, the ideal as a bitmask (bit k for position k), and the u-vector."""
 
     ideal: tuple[int, ...]
     cominimals: tuple[int, ...]
     move: Vector
     mask: int
+    u: Vector
 
 
 class _TypeTable(NamedTuple):
@@ -63,18 +64,19 @@ def _table(ar: ARQuiver, i: int) -> _TypeTable:
     """Every nonempty antichain of the type-i poset with its entry and ladder
     step; built once per translation quiver and type.
 
-    Each ground element has a down-set and an up-set bitmask, so comparability
-    is one AND, an ideal is the OR of its positions' down-sets, and an element
-    of the rest is a complement minimal when its down-set meets the rest only in
-    itself.  The move is +1 on A and -1 on the translates of the complement
-    minimals (a projective has no translate).
+    Each ground element has a down-set and an up-set bitmask, read off the
+    reachability sets of `ar`, so comparability is one AND, an ideal is the OR
+    of its positions' down-sets, and an element of the rest is a complement
+    minimal when its down-set meets the rest only in itself.  The u-vector
+    counts the translates of the complement minimals (a projective has no
+    translate), and the move is +1 on A minus the u-vector.
     """
     key = ("antichains", i)
     if key not in ar._cache:
         ground = ar.p_set(i)
-        down = {x: sum(1 << y for y in ground if ar.leq(y, x)) for x in ground}
-        up = {x: sum(1 << y for y in ground if ar.leq(x, y)) for x in ground}
         everything = sum(1 << x for x in ground)
+        up = {x: sum(1 << y for y in ar._reach[x - 1]) & everything for x in ground}
+        down = {x: sum(1 << y for y in ground if up[y] >> x & 1) for x in ground}
         found: list[tuple[int, tuple[int, ...]]] = []  # (ideal mask, positions)
 
         def extend(chosen: list[int], chosen_mask: int, ideal_mask: int, start: int) -> None:
@@ -96,14 +98,15 @@ def _table(ar: ARQuiver, i: int) -> _TypeTable:
             a = Antichain(i, positions)
             rest = everything & ~mask
             comin = tuple(x for x in ground if rest >> x & 1 and down[x] & rest == 1 << x)
-            vec = [0] * ar.N
-            for k in positions:
-                vec[k - 1] += 1
+            u = [0] * ar.N
             for k in comin:
                 if k in ar.tau:
-                    vec[ar.tau[k] - 1] -= 1
+                    u[ar.tau[k] - 1] += 1
+            vec = [-x for x in u]
+            for k in positions:
+                vec[k - 1] += 1
             entries[a] = _Entry(
-                tuple(x for x in ground if mask >> x & 1), comin, tuple(vec), mask
+                tuple(x for x in ground if mask >> x & 1), comin, tuple(vec), mask, tuple(u)
             )
             x = positions[-1]
             below = mask & ~(1 << x)
@@ -160,10 +163,7 @@ def move(ar: ARQuiver, a: Antichain) -> Vector:
 
 def u_vector(ar: ARQuiver, a: Antichain) -> Vector:
     """Multiplicity vector of the module whose raising realizes the move."""
-    vec = [0] * ar.N
-    for k in _translated_cominimals(ar, a):
-        vec[k - 1] += 1
-    return tuple(vec)
+    return _entry(ar, a).u
 
 
 def _check_length(ar: ARQuiver, t) -> None:

@@ -153,10 +153,15 @@ def ringel_matrix(q: Quiver) -> tuple[Vector, ...]:
     return tuple(tuple(r) for r in rows)
 
 
+@lru_cache(maxsize=None)
+def _ringel_columns(q: Quiver) -> tuple[Vector, ...]:
+    """The columns of `ringel_matrix(q)`, built once per quiver."""
+    return tuple(zip(*ringel_matrix(q)))
+
+
 def rho(q: Quiver, i: int) -> Vector:
     """Weight whose omega coordinates are the i-th column of the Ringel matrix."""
-    rm = ringel_matrix(q)
-    return tuple(rm[k][i - 1] for k in range(q.diagram.n))
+    return _ringel_columns(q)[i - 1]
 
 
 def rho_t(q: Quiver, i: int) -> Vector:
@@ -168,11 +173,10 @@ def phi_R(q: Quiver, root: Vector) -> Vector:
     """Linear map sending each simple root a_i to -rho_i, evaluated on a root."""
     n = q.diagram.n
     out = [0] * n
-    for i in range(n):
-        if root[i]:
-            r = rho(q, i + 1)
+    for m, r in zip(root, _ringel_columns(q)):
+        if m:
             for k in range(n):
-                out[k] -= root[i] * r[k]
+                out[k] -= m * r[k]
     return tuple(out)
 
 
@@ -252,4 +256,4 @@ def hom_to_simple(q: Quiver, ar, k: int, i: int) -> int:
     else 0.  Pairing with a_i reads column i of the Ringel matrix."""
     if not ar.leq(k, ar.simple_positions[i - 1]):
         return 0
-    return sum(b * row[i - 1] for b, row in zip(ar.root(k), ringel_matrix(q)))
+    return sum(b * c for b, c in zip(ar.root(k), rho(q, i)))

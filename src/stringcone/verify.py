@@ -5,6 +5,7 @@ properties of the translation-quiver and wiring machinery."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from . import arquiver, lusztig, strings, wiring
 from .cartan import (
@@ -199,11 +200,7 @@ def _structural(
     report("coxeter_rho", not bad, bad or None)
 
     # ordering refines the path order; map-space dimensions stay nonnegative
-    bad = []
-    for k1 in range(1, ar.N + 1):
-        for k2 in range(1, ar.N + 1):
-            if k1 != k2 and ar.leq(k1, k2) and not k1 < k2:
-                bad.append((k1, k2))
+    bad = [(k1, k2) for k1 in range(1, ar.N + 1) for k2 in range(1, k1) if ar.leq(k1, k2)]
     report("ordering_refines_paths", not bad, bad[:3] or None)
     bad = [
         (k, i)
@@ -225,16 +222,16 @@ def _structural(
         # witness property: raising the translated-minimals module applies the move
         bad = []
         for i in range(1, n + 1):
-            for a in lusztig.antichains(ar, i):
-                t_u = lusztig.u_vector(ar, a)
-                expected = tuple(x + m for x, m in zip(t_u, lusztig.move(ar, a)))
+            for a, entry in lusztig._table(ar, i).rows:
+                t_u = entry.u
+                expected = tuple(map(add, t_u, entry.move))
                 if lusztig.lusztig_e(ar, i, t_u) != expected:
                     bad.append((i, a.positions))
-                for k in lusztig.ideal(ar, a):
+                for k in entry.ideal:
                     delta = t_u[k - 1] - (t_u[ar.tau[k] - 1] if k in ar.tau else 0)
                     if delta < 0:
                         bad.append(("ideal-delta", i, a.positions, k))
-                for k in lusztig.cominimals(ar, a):
+                for k in entry.cominimals:
                     delta = t_u[k - 1] - (t_u[ar.tau[k] - 1] if k in ar.tau else 0)
                     if delta != -1:
                         bad.append(("comin-delta", i, a.positions, k))
@@ -320,13 +317,14 @@ def _structural(
         report(f"zone_border_on_limiting_type{i}", not outside, sorted(outside) or None)
 
         # path/antichain correspondence matches vectors one for one
-        chains = lusztig.antichains(ar, i)
+        rows = lusztig._table(ar, i).rows
         bad = []
-        if len(paths) != len(chains):
-            bad.append(("count", len(paths), len(chains)))
-        rebuilt = {a: wiring.antichain_path(wd, ar, a) for a in chains}
-        for a, p in rebuilt.items():
-            if wiring.k_vector(wd, p) != lusztig.move(ar, a):
+        if len(paths) != len(rows):
+            bad.append(("count", len(paths), len(rows)))
+        rebuilt = {}
+        for a, entry in rows:
+            p = rebuilt[a] = wiring.antichain_path(wd, ar, a)
+            if wiring.k_vector(wd, p) != entry.move:
                 bad.append(("vector", a.positions))
         for p in paths:
             if rebuilt.get(wiring.path_antichain(wd, ar, p)) != p:

@@ -132,52 +132,73 @@ class _TypeTable(NamedTuple):
     graph: Mapping[Node, tuple[tuple[int, Node], ...]]
     forbidden: frozenset[tuple[int, int]]
     paths: tuple[GPPath, ...]
+    # wire -> its crossings in its travel direction, and crossing -> index there
+    rides: Mapping[int, tuple[tuple[int, ...], Mapping[int, int]]]
 
 
 def _table(wd: WiringDiagram, i: int) -> _TypeTable:
     """The type-i orientation, built once per diagram and type: out-edge lists
     keyed by vertex, the (crossing, wire) pairs a path may not pass straight
     through (both wires of the crossing travel the same way and this one
-    ascends), and every path from the entry border vertex to the exit vertex
-    that avoids them, sorted.
+    ascends), every path from the entry border vertex to the exit vertex that
+    avoids them, sorted, and each wire's crossings in its travel direction.
 
     Crossing k swaps wires a < b, with a on the upper track before it, so a
     descends going right: of two right-going wires b ascends, of two left-going
-    wires a does."""
-    if not (1 <= i <= wd.n):
-        raise ValueError(f"type index {i} out of range")
+    wires a does.  The path search enters only vertices from which the exit
+    vertex can be reached, found by one search backwards along the edges."""
     key = ("type", i)
     if key in wd._cache:
         return wd._cache[key]
+    if not (1 <= i <= wd.n):
+        raise ValueError(f"type index {i} out of range")
     out: dict[Node, list[tuple[int, Node]]] = {}
+    into: dict[Node, list[Node]] = {}
+    rides = {}
     for wire in range(1, wd.n + 2):
         nodes: list[Node] = [("l", wire), *wd.wire_route[wire], ("r", wire)]
         if not _forward(wire, i):
             nodes.reverse()
         for a, b in zip(nodes, nodes[1:]):
             out.setdefault(a, []).append((wire, b))
-    graph = {v: tuple(sorted(edges, key=str)) for v, edges in out.items()}
+            into.setdefault(b, []).append(a)
+        route = tuple(nodes[1:-1])
+        rides[wire] = (route, {k: idx for idx, k in enumerate(route)})
+    graph = {v: tuple(edges) for v, edges in out.items()}
     forbidden = frozenset(
         (k, b if a > i else a) for k, (a, b) in enumerate(wd.pairs, start=1) if a > i or b <= i
     )
     goal: Node = ("l", i)
+    live = {goal}
+    stack = [goal]
+    while stack:
+        for v in into.get(stack.pop(), ()):
+            if v not in live:
+                live.add(v)
+                stack.append(v)
     found: list[GPPath] = []
+    crossings: list[int] = []
+    wires: list[int] = []
 
-    def dfs(node: Node, in_wire: int, crossings: tuple[int, ...], wires: tuple[int, ...]) -> None:
-        if node == goal:
-            found.append(GPPath(i, crossings, wires))
-            return
-        if not isinstance(node, int):
-            return  # wrong border vertex
-        for wire, nxt in graph.get(node, ()):
-            if wire == in_wire and (node, wire) in forbidden:
+    def dfs(node: int, in_wire: int) -> None:
+        crossings.append(node)
+        wires.append(in_wire)
+        for wire, nxt in graph[node]:
+            if nxt not in live or wire == in_wire and (node, wire) in forbidden:
                 continue
-            dfs(nxt, wire, crossings + (node,), wires + (wire,))
+            if nxt == goal:
+                found.append(GPPath(i, tuple(crossings), (*wires, wire)))
+            else:
+                dfs(nxt, wire)
+        crossings.pop()
+        wires.pop()
 
     ((first_wire, first_node),) = graph[("l", i + 1)]
-    dfs(first_node, first_wire, (), (first_wire,))
+    dfs(first_node, first_wire)
     found.sort(key=lambda p: (p.crossings, p.wires))
-    wd._cache[key] = _TypeTable(MappingProxyType(graph), forbidden, tuple(found))
+    wd._cache[key] = _TypeTable(
+        MappingProxyType(graph), forbidden, tuple(found), MappingProxyType(rides)
+    )
     return wd._cache[key]
 
 
@@ -194,7 +215,7 @@ def is_gp_path(wd: WiringDiagram, path: GPPath) -> bool:
         return False
     if path.wires[0] != i + 1 or path.wires[-1] != i:
         return False
-    graph, forbidden, _ = _table(wd, i)
+    graph, forbidden, _, _ = _table(wd, i)
     node: Node = ("l", i + 1)
     for k, wire, out_wire in zip(path.crossings, path.wires, path.wires[1:]):
         if (wire, k) not in graph.get(node, ()) or out_wire not in wd.pairs[k - 1]:
@@ -208,8 +229,7 @@ def is_gp_path(wd: WiringDiagram, path: GPPath) -> bool:
 def k_vector(wd: WiringDiagram, path: GPPath) -> Vector:
     """+1 where the path drops to a lower wire index, -1 where it climbs."""
     vec = [0] * wd.N
-    for idx, k in enumerate(path.crossings):
-        h, l = path.wires[idx], path.wires[idx + 1]
+    for k, h, l in zip(path.crossings, path.wires, path.wires[1:]):
         if h > l:
             vec[k - 1] = 1
         elif h < l:
@@ -236,12 +256,13 @@ def gp_cone(wd: WiringDiagram, typed: bool = False) -> frozenset:
 def _staircase(wd: WiringDiagram, i: int, wires: tuple[int, ...]) -> GPPath:
     """Ride each wire in its type-i direction from the last switch crossing to
     its crossing with the next wire, then ride the last wire out."""
+    rides = _table(wd, i).rides
     crossings: list[int] = []
     on: list[int] = []
     for wire, nxt in zip(wires, (*wires[1:], None)):
-        route = wd.wire_route[wire] if _forward(wire, i) else wd.wire_route[wire][::-1]
-        start = route.index(crossings[-1]) + 1 if crossings else 0
-        stop = len(route) if nxt is None else route.index(wd.crossing_of(wire, nxt)) + 1
+        route, at = rides[wire]
+        start = at[crossings[-1]] + 1 if crossings else 0
+        stop = len(route) if nxt is None else at[wd.crossing_of(wire, nxt)] + 1
         if nxt is not None and stop <= start:
             raise InvariantViolation(
                 "target crossing is not ahead on the wire", {"wire": wire, "next": nxt}
@@ -327,10 +348,8 @@ def antichain_path(wd: WiringDiagram, ar: ARQuiver, a: Antichain) -> GPPath:
         raise NotAdapted("translation quiver and wiring diagram use different words")
     ideal(ar, a)  # the lookup contract of lusztig's readers
     i = a.type_index
-    turns = sorted(
-        (wd.pairs[k - 1] for k in a.positions), key=lambda t: wd.crossing_of(t[0], i + 1)
-    )
-    wires = [i + 1, *(wire for row, column in turns for wire in (column, row)), i]
+    turns = sorted((wd._crossing[wd.pairs[k - 1][0], i + 1], k) for k in a.positions)
+    wires = [i + 1, *(wire for _, k in turns for wire in reversed(wd.pairs[k - 1])), i]
     path = _staircase(wd, i, tuple(wire for wire, _ in groupby(wires)))
     if not is_gp_path(wd, path) or _turns(ar, path) != a:
         raise InvariantViolation(

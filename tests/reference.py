@@ -20,6 +20,7 @@ from stringcone.cartan import (
     weyl_act,
 )
 from stringcone.quiver import ringel_matrix, sink_order
+from stringcone.wiring import GPPath
 
 
 def cone_points(normals, box: int, dim: int) -> frozenset[tuple[int, ...]]:
@@ -36,6 +37,14 @@ def alpha_to_omega(d, v):
     """Convert simple-root coordinates to fundamental-weight coordinates."""
     cm = cartan_matrix(d)
     return tuple(sum(cm[i][j] * v[j] for j in range(d.n)) for i in range(d.n))
+
+
+def reflect_root(d, i, v):
+    """s_i on simple-root coordinates: v minus its pairing with the coroot of
+    a_i, the i-th coordinate of v in the weight basis, times a_i."""
+    a_i = simple_root(d, i)
+    coef = alpha_to_omega(d, v)[i - 1]
+    return tuple(x - coef * a for x, a in zip(v, a_i))
 
 
 def reflect_weight(d, i, v):
@@ -220,3 +229,35 @@ def forbidden_crossings(word, n: int, i: int) -> frozenset[tuple[int, int]]:
             if (wire == lower) if forward else (wire == upper):
                 out.add((k, wire))
     return frozenset(out)
+
+
+def gp_paths(wd, i) -> tuple:
+    """Every type-i path by an unpruned depth-first search: from the entry
+    border vertex ("l", i+1) along the wires, wires above i rightwards and the
+    others leftwards, to the exit vertex ("l", i), never passing straight
+    through a forbidden (crossing, wire) pair; sorted by crossings, then wires."""
+    out = {}
+    for wire, route in wd.wire_route.items():
+        nodes = [("l", wire), *route, ("r", wire)]
+        if wire <= i:
+            nodes.reverse()
+        for a, b in zip(nodes, nodes[1:]):
+            out.setdefault(a, []).append((wire, b))
+    forbidden = forbidden_crossings(wd.word, wd.n, i)
+    goal = ("l", i)
+    found = []
+
+    def dfs(node, in_wire, crossings, wires):
+        if node == goal:
+            found.append(GPPath(i, crossings, wires))
+            return
+        if not isinstance(node, int):
+            return  # another border vertex: a dead end
+        for wire, nxt in out.get(node, ()):
+            if wire == in_wire and (node, wire) in forbidden:
+                continue
+            dfs(nxt, wire, crossings + (node,), wires + (wire,))
+
+    ((first_wire, first_node),) = out[("l", i + 1)]
+    dfs(first_node, first_wire, (), (first_wire,))
+    return tuple(sorted(found, key=lambda p: (p.crossings, p.wires)))

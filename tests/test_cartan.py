@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -177,6 +179,43 @@ def test_reflections_are_involutions(data):
     vec = tuple(data.draw(st.integers(-4, 4)) for _ in range(d.n))
     assert weyl_act(d, (i, i), vec) == vec
     assert weyl_act(d, (i, i), vec, basis="weight") == vec
+
+
+def _composed_reflections(d, word, v, basis):
+    """The reference reflections of the word's letters, the last letter first."""
+    reflect = reference.reflect_root if basis == "root" else reference.reflect_weight
+    for i in reversed(word):
+        v = reflect(d, i, v)
+    return tuple(v)
+
+
+@given(st.data())
+def test_weyl_act_matches_composed_reference_reflections(data):
+    # up to two letters out of range, at any positions: both routes then refuse
+    # the one nearest the end, with the same message
+    d = data.draw(st.sampled_from(ALL_SMALL_DIAGRAMS))
+    word = data.draw(st.lists(st.integers(1, d.n), max_size=12))
+    if word:
+        for k in data.draw(st.lists(st.integers(0, len(word) - 1), max_size=2)):
+            word[k] = data.draw(st.sampled_from([-1, 0, d.n + 1]))
+    vec = tuple(data.draw(st.integers(-5, 5)) for _ in range(d.n))
+    basis = data.draw(st.sampled_from(["root", "weight"]))
+    try:
+        expected = _composed_reflections(d, word, vec, basis)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            weyl_act(d, word, vec, basis)
+    else:
+        assert weyl_act(d, word, vec, basis) == expected
+
+
+def test_reflection_ordering_is_computed_once_per_word_and_refusals_every_time():
+    d = path_diagram(4)
+    word = longest_word(d)
+    assert reflection_ordering(d, word) is reflection_ordering(d, list(word))
+    for _ in range(2):
+        with pytest.raises(NotReducedW0, match="letter 5 out of range"):
+            reflection_ordering(d, (5, *word[1:]))
 
 
 def test_pairing_consistency_on_roots():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from types import MappingProxyType
@@ -286,6 +287,20 @@ def test_reports_are_deterministic():
     assert [r.as_json() for r in a.reports] == [r.as_json() for r in b.reports]
     payload = json.dumps(a.as_json(), sort_keys=True)
     assert payload == json.dumps(b.as_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "max_rank, box, digest",
+    [
+        (7, 0, "d03d4ef7f93556dd85a35adf59a17d6dd094245a383dee57406c521434b3bd85"),
+        (4, 2, "a520e529cecf07a5942ddb042fbec98b0c7d817bd6c9880249300d56276affa9"),
+    ],
+)
+def test_report_reprs_are_pinned(max_rank, box, digest):
+    # every report of the sweep, in order and with its witness, not only the
+    # one-line summary that the CLI prints
+    reports = run_suite(max_rank, box).reports
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == digest
 
 
 def test_report_json_schema(a3):

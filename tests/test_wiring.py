@@ -243,6 +243,14 @@ def test_bijection_all_orientations(n):
                 assert k_vector(wd, antichain_path(wd, ar, a)) == move(ar, a)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gp_paths_match_the_unpruned_search(n):
+    for q in all_orientations(path_diagram(n)):
+        wd = build_wiring(adapted_word(q), n)
+        for i in range(1, n + 1):
+            assert gp_paths(wd, i) == reference.gp_paths(wd, i)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_limiting_path_is_the_simple_root_staircase(n):
     # the simple root tops the type-i poset: its ideal is the whole poset and
