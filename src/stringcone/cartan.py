@@ -128,30 +128,6 @@ def _check_letter(d: DynkinDiagram, i: int) -> None:
         raise ValueError(f"letter {i} out of range 1..{d.n}")
 
 
-def reflect_root(d: DynkinDiagram, i: int, v: Vector) -> Vector:
-    """Simple reflection s_i on a vector in simple-root coordinates."""
-    _check_letter(d, i)
-    row = cartan_matrix(d)[i - 1]
-    coef = sum(c * x for c, x in zip(row, v))
-    out = list(v)
-    out[i - 1] -= coef
-    return tuple(out)
-
-
-def reflect_weight(d: DynkinDiagram, i: int, v: Vector) -> Vector:
-    """Simple reflection s_i on a vector in fundamental-weight coordinates.
-
-    Uses s_i(w_j) = w_j - delta_ij a_i, with a_i expressed in the weight basis
-    through column i of the Cartan matrix.  Simply laced Cartan matrices are
-    symmetric, so that column is the cached row i.
-    """
-    _check_letter(d, i)
-    coef = v[i - 1]
-    if coef == 0:
-        return tuple(v)
-    return tuple(x - coef * c for x, c in zip(v, cartan_matrix(d)[i - 1]))
-
-
 @lru_cache(maxsize=None)
 def _cartan_support(d: DynkinDiagram) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Each Cartan row's nonzero entries as (0-based column, entry) pairs."""
@@ -162,21 +138,31 @@ def weyl_act(d: DynkinDiagram, word, v: Vector, basis: str = "root") -> Vector:
     """Apply the group element s_{i1} s_{i2} ... s_{im} to v.
 
     The last letter acts innermost, so weyl_act(d, (1, 2), v) is s_1(s_2(v)).
-    Each reflection is `reflect_root` or `reflect_weight`, applied in place on
-    the support of its Cartan row.
+    Every letter is checked before any reflection is applied.
     """
     if basis not in ("root", "weight"):
         raise ValueError(f"unknown basis {basis!r}")
     word = tuple(word)[::-1]
     for i in word:
         _check_letter(d, i)
+    return _reflect(d, word, v, basis)
+
+
+def _reflect(d: DynkinDiagram, letters, v: Vector, basis: str) -> Vector:
+    """The simple reflections s_i of checked letters applied to v in turn.
+
+    In the root basis s_i lowers coordinate i by the pairing of v with Cartan
+    row i; in the weight basis it subtracts v_i times row i (the simple root a_i
+    in weight coordinates, the matrix being symmetric).  Either walks only the
+    row's nonzero entries.
+    """
     support = _cartan_support(d)
     out = list(v)
     if basis == "root":
-        for i in word:
+        for i in letters:
             out[i - 1] -= sum(c * out[j] for j, c in support[i - 1])
     else:
-        for i in word:
+        for i in letters:
             if coef := out[i - 1]:
                 for j, c in support[i - 1]:
                     out[j] -= coef * c
@@ -196,7 +182,7 @@ def positive_roots(d: DynkinDiagram) -> tuple[Vector, ...]:
     while frontier:
         v = frontier.pop()
         for i in range(1, d.n + 1):
-            w = reflect_root(d, i, v)
+            w = _reflect(d, (i,), v, "root")
             if all(x >= 0 for x in w) and w not in found:
                 found.add(w)
                 frontier.append(w)
@@ -236,10 +222,11 @@ def reflection_ordering(d: DynkinDiagram, word) -> tuple[Vector, ...]:
     return _reflection_ordering(d, tuple(word))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def _reflection_ordering(d: DynkinDiagram, word: tuple[int, ...]) -> tuple[Vector, ...]:
-    """`reflection_ordering`, cached per (diagram, word): the translation quiver
-    and the wiring diagram of one word both read it.  A raised error is not cached."""
+    """`reflection_ordering`, keeping the last word's ordering: the translation
+    quiver and the wiring diagram of one word read it one after the other.  A
+    raised error is not cached."""
     for i in word:
         if not (1 <= i <= d.n):
             raise NotReducedW0(f"letter {i} out of range 1..{d.n}")

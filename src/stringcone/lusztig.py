@@ -16,7 +16,7 @@ antichain up in the table and raise ValueError for one not in
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from operator import add
 from types import MappingProxyType
@@ -35,13 +35,12 @@ class Antichain:
 
 class _Entry(NamedTuple):
     """One antichain A of a type table: its order ideal, complement minimals and
-    move vector, the ideal as a bitmask (bit k for position k), and the u-vector."""
+    move vector, and the ideal as a bitmask (bit k for position k)."""
 
     ideal: tuple[int, ...]
     cominimals: tuple[int, ...]
     move: Vector
     mask: int
-    u: Vector
 
 
 class _TypeTable(NamedTuple):
@@ -67,9 +66,8 @@ def _table(ar: ARQuiver, i: int) -> _TypeTable:
     Each ground element has a down-set and an up-set bitmask, read off the
     reachability sets of `ar`, so comparability is one AND, an ideal is the OR
     of its positions' down-sets, and an element of the rest is a complement
-    minimal when its down-set meets the rest only in itself.  The u-vector
-    counts the translates of the complement minimals (a projective has no
-    translate), and the move is +1 on A minus the u-vector.
+    minimal when its down-set meets the rest only in itself.  The move is +1 on
+    A and -1 on the translates of the complement minimals.
     """
     key = ("antichains", i)
     if key not in ar._cache:
@@ -98,16 +96,12 @@ def _table(ar: ARQuiver, i: int) -> _TypeTable:
             a = Antichain(i, positions)
             rest = everything & ~mask
             comin = tuple(x for x in ground if rest >> x & 1 and down[x] & rest == 1 << x)
-            u = [0] * ar.N
-            for k in comin:
-                if k in ar.tau:
-                    u[ar.tau[k] - 1] += 1
-            vec = [-x for x in u]
+            vec = [0] * ar.N
             for k in positions:
                 vec[k - 1] += 1
-            entries[a] = _Entry(
-                tuple(x for x in ground if mask >> x & 1), comin, tuple(vec), mask, tuple(u)
-            )
+            for k in _translates(ar, comin):
+                vec[k - 1] -= 1
+            entries[a] = _Entry(tuple(x for x in ground if mask >> x & 1), comin, tuple(vec), mask)
             x = positions[-1]
             below = mask & ~(1 << x)
             if not below:
@@ -138,6 +132,13 @@ def antichains(ar: ARQuiver, i: int) -> tuple[Antichain, ...]:
     return tuple(a for a, _ in _table(ar, i).rows)
 
 
+def antichain_rows(ar: ARQuiver, i: int) -> Iterator[tuple]:
+    """Each antichain of `antichains(ar, i)`, in that order, as the tuple
+    (antichain, ideal, cominimals, move, u-vector)."""
+    for a, e in _table(ar, i).rows:
+        yield a, e.ideal, e.cominimals, e.move, _u(ar, e.cominimals)
+
+
 def ideal(ar: ARQuiver, a: Antichain) -> tuple[int, ...]:
     """Order ideal generated by the antichain inside its poset."""
     return _entry(ar, a).ideal
@@ -148,9 +149,17 @@ def cominimals(ar: ARQuiver, a: Antichain) -> tuple[int, ...]:
     return _entry(ar, a).cominimals
 
 
-def _translated_cominimals(ar: ARQuiver, a: Antichain) -> list[int]:
+def _translates(ar: ARQuiver, comin) -> list[int]:
     """Translates of the complement minimals; a projective has no translate."""
-    return [ar.tau[k] for k in cominimals(ar, a) if k in ar.tau]
+    return [ar.tau[k] for k in comin if k in ar.tau]
+
+
+def _u(ar: ARQuiver, comin) -> Vector:
+    """Multiplicity vector counting the translates of the complement minimals."""
+    vec = [0] * ar.N
+    for k in _translates(ar, comin):
+        vec[k - 1] += 1
+    return tuple(vec)
 
 
 def move(ar: ARQuiver, a: Antichain) -> Vector:
@@ -163,7 +172,7 @@ def move(ar: ARQuiver, a: Antichain) -> Vector:
 
 def u_vector(ar: ARQuiver, a: Antichain) -> Vector:
     """Multiplicity vector of the module whose raising realizes the move."""
-    return _entry(ar, a).u
+    return _u(ar, _entry(ar, a).cominimals)
 
 
 def _check_length(ar: ARQuiver, t) -> None:
@@ -267,7 +276,7 @@ def moves_json(ar: ARQuiver) -> list[dict]:
 def moves_tsv(ar: ARQuiver) -> str:
     lines = ["type\tantichain\ttranslated_minimals\tvector"]
     for a, vec in all_moves(ar):
-        u = _translated_cominimals(ar, a)
+        u = _translates(ar, cominimals(ar, a))
         lines.append(
             "{}\t{}\t{}\t{}".format(
                 a.type_index,

@@ -222,16 +222,15 @@ def _structural(
         # witness property: raising the translated-minimals module applies the move
         bad = []
         for i in range(1, n + 1):
-            for a, entry in lusztig._table(ar, i).rows:
-                t_u = entry.u
-                expected = tuple(map(add, t_u, entry.move))
+            for a, ideal, comin, mv, t_u in lusztig.antichain_rows(ar, i):
+                expected = tuple(map(add, t_u, mv))
                 if lusztig.lusztig_e(ar, i, t_u) != expected:
                     bad.append((i, a.positions))
-                for k in entry.ideal:
+                for k in ideal:
                     delta = t_u[k - 1] - (t_u[ar.tau[k] - 1] if k in ar.tau else 0)
                     if delta < 0:
                         bad.append(("ideal-delta", i, a.positions, k))
-                for k in entry.cominimals:
+                for k in comin:
                     delta = t_u[k - 1] - (t_u[ar.tau[k] - 1] if k in ar.tau else 0)
                     if delta != -1:
                         bad.append(("comin-delta", i, a.positions, k))
@@ -317,14 +316,13 @@ def _structural(
         report(f"zone_border_on_limiting_type{i}", not outside, sorted(outside) or None)
 
         # path/antichain correspondence matches vectors one for one
-        rows = lusztig._table(ar, i).rows
+        chains = lusztig.antichains(ar, i)
         bad = []
-        if len(paths) != len(rows):
-            bad.append(("count", len(paths), len(rows)))
-        rebuilt = {}
-        for a, entry in rows:
-            p = rebuilt[a] = wiring.antichain_path(wd, ar, a)
-            if wiring.k_vector(wd, p) != entry.move:
+        if len(paths) != len(chains):
+            bad.append(("count", len(paths), len(chains)))
+        rebuilt = {a: wiring.antichain_path(wd, ar, a) for a in chains}
+        for a, p in rebuilt.items():
+            if wiring.k_vector(wd, p) != lusztig.move(ar, a):
                 bad.append(("vector", a.positions))
         for p in paths:
             if rebuilt.get(wiring.path_antichain(wd, ar, p)) != p:

@@ -133,9 +133,7 @@ def test_invariant_violation_exits_one(capsys, monkeypatch):
     from stringcone import lusztig
 
     monkeypatch.setattr(
-        lusztig,
-        "_maximal_row",
-        lambda ar, i, t: (None, lusztig._Entry((), (), (-1,) * ar.N, 0, (0,) * ar.N)),
+        lusztig, "_maximal_row", lambda ar, i, t: (None, lusztig._Entry((), (), (-1,) * ar.N, 0))
     )
     code, out, err = run(capsys, "crystal", "--quiver", "2>1", "--depth", "1")
     assert code == 1 and out == ""

@@ -10,6 +10,7 @@ from stringcone.cartan import InvariantViolation, d_diagram, path_diagram
 from stringcone.lusztig import (
     Antichain,
     all_moves,
+    antichain_rows,
     antichains,
     cominimals,
     f_value,
@@ -279,6 +280,15 @@ def test_witness_property_small_ranks(n):
                 t_u = u_vector(ar, a)
                 got = lusztig_e(ar, i, t_u)
                 assert got == tuple(x + m for x, m in zip(t_u, move(ar, a)))
+
+
+def test_antichain_rows_match_the_readers(a3_ar, d4_ar):
+    for ar in (a3_ar, d4_ar):
+        for i in range(1, ar.n + 1):
+            assert list(antichain_rows(ar, i)) == [
+                (a, ideal(ar, a), cominimals(ar, a), move(ar, a), u_vector(ar, a))
+                for a in antichains(ar, i)
+            ]
 
 
 def test_u_vector_deltas(d4_ar):
