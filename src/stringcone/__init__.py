@@ -23,7 +23,6 @@ from .cartan import (  # noqa: F401
 )
 from .quiver import (  # noqa: F401
     NotAdapted,
-    NotASink,
     Quiver,
     QuiverParseError,
     adapted_word,

@@ -3,7 +3,8 @@
 Positions 1..N carry the roots of the induced reflection ordering.  Arrows
 join positions whose letters are adjacent in the diagram with no intermediate
 occurrence of either letter; the translation sends a position to the previous
-occurrence of the same letter.
+occurrence of the same letter.  One pass over the word finds both, and each
+position's down-set in the path order, from the letters' last positions.
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from .cartan import (
     reflection_ordering,
     simple_root,
 )
-from .quiver import NotAdapted, Quiver, adapted_word, hom_to_simple, is_adapted, segmented_cycle
+from .quiver import (
+    NotAdapted, Quiver, adapted_word, adjacency, check_vertex, hom_to_simple, is_adapted,
+    segmented_cycle,
+)
 
 
 @dataclass(frozen=True)
@@ -31,7 +35,7 @@ class ARQuiver:
     tau: dict[int, int]
     position_by_root: dict[Vector, int]
     simple_positions: tuple[int, ...]  # position of the simple root at i, index i-1
-    _reach: tuple[frozenset[int], ...] = field(repr=False)
+    down: tuple[int, ...] = field(repr=False)  # index k-1: bit j for each j <= k
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -49,14 +53,16 @@ class ARQuiver:
         return self.word[k - 1]
 
     def level_positions(self, i: int) -> tuple[int, ...]:
+        check_vertex(self.quiver, i)
         return tuple(k for k in range(1, self.N + 1) if self.word[k - 1] == i)
 
     def leq(self, k1: int, k2: int) -> bool:
         """Reflexive reachability along arrows."""
-        return k2 in self._reach[k1 - 1]
+        return self.down[k2 - 1] >> k1 & 1 == 1
 
     def hammock(self, i: int) -> tuple[int, ...]:
         """Positions whose root involves the simple root at i."""
+        check_vertex(self.quiver, i)
         return tuple(k for k in range(1, self.N + 1) if self.roots[k - 1][i - 1] > 0)
 
     def hom_table(self) -> tuple[tuple[int, ...], ...]:
@@ -64,15 +70,14 @@ class ARQuiver:
         simple at i (`quiver.hom_to_simple`), filled once per translation quiver."""
         if "hom" not in self._cache:
             self._cache["hom"] = tuple(
-                tuple(hom_to_simple(self.quiver, self, k, i) for i in range(1, self.n + 1))
+                tuple(hom_to_simple(self, k, i) for i in range(1, self.n + 1))
                 for k in range(1, self.N + 1)
             )
         return self._cache["hom"]
 
     def p_set(self, i: int) -> tuple[int, ...]:
         """Positions whose module admits a nonzero map to the simple at i."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"type index {i} out of range 1..{self.n}")
+        check_vertex(self.quiver, i)
         return tuple(k for k, row in enumerate(self.hom_table(), start=1) if row[i - 1] > 0)
 
 
@@ -83,32 +88,24 @@ def build_ar(q: Quiver, word=None) -> ARQuiver:
     if not is_adapted(word, q):
         raise NotAdapted(f"word {','.join(map(str, word))} is not adapted to the quiver")
     roots = reflection_ordering(q.diagram, word)
-    adjacent = {tuple(sorted(e)) for e in q.diagram.edges}
-    N = len(word)
+    # arrows into k leave the neighbour letters' last positions after k's translate
+    neighbours = adjacency(q)
+    last = [0] * (q.diagram.n + 1)
     arrows = []
-    for k in range(1, N + 1):
-        for k2 in range(k + 1, N + 1):
-            a, b = word[k - 1], word[k2 - 1]
-            if tuple(sorted((a, b))) not in adjacent:
-                continue
-            if all(word[j - 1] not in (a, b) for j in range(k + 1, k2)):
-                arrows.append((k, k2))
     tau = {}
-    last_seen: dict[int, int] = {}
-    for k in range(1, N + 1):
-        letter = word[k - 1]
-        if letter in last_seen:
-            tau[k] = last_seen[letter]
-        last_seen[letter] = k
-    succ: dict[int, list[int]] = {k: [] for k in range(1, N + 1)}
-    for k, k2 in arrows:
-        succ[k].append(k2)
-    reach: list[frozenset[int]] = [frozenset()] * N
-    for k in range(N, 0, -1):
-        acc = {k}
-        for k2 in succ[k]:
-            acc |= reach[k2 - 1]
-        reach[k - 1] = frozenset(acc)
+    down = []
+    for k, letter in enumerate(word, start=1):
+        prev = last[letter]
+        if prev:
+            tau[k] = prev
+        mask = 1 << k
+        for a, _ in neighbours[letter - 1]:
+            if last[a] > prev:
+                arrows.append((last[a], k))
+                mask |= down[last[a] - 1]
+        down.append(mask)
+        last[letter] = k
+    arrows.sort()
     position_by_root = {r: k + 1 for k, r in enumerate(roots)}
     return ARQuiver(
         quiver=q,
@@ -120,7 +117,7 @@ def build_ar(q: Quiver, word=None) -> ARQuiver:
         simple_positions=tuple(
             position_by_root[simple_root(q.diagram, i)] for i in range(1, q.diagram.n + 1)
         ),
-        _reach=tuple(reach),
+        down=tuple(down),
     )
 
 
@@ -135,21 +132,16 @@ def injective_dimension_vector(q: Quiver, i: int) -> Vector:
 
 
 def _path_indicator(q: Quiver, i: int, forward: bool) -> Vector:
-    n = q.diagram.n
-    step: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for a, b in q.arrows:
-        if forward:
-            step[a].append(b)
-        else:
-            step[b].append(a)
+    """Indicator of the vertices reached from i along (forward) or against the arrows."""
+    neighbours = adjacency(q)
     seen = {i}
     stack = [i]
     while stack:
-        for w in step[stack.pop()]:
-            if w not in seen:
+        for w, into in neighbours[stack.pop() - 1]:
+            if into != forward and w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return tuple(1 if v in seen else 0 for v in range(1, n + 1))
+    return tuple(1 if v in seen else 0 for v in range(1, q.diagram.n + 1))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .cartan import (
     is_reduced_w0,
     reflection_ordering,
 )
-from .quiver import NotAdapted, NotASink, QuiverParseError, adapted_word, parse_quiver
+from .quiver import NotAdapted, QuiverParseError, adapted_word, parse_quiver
 
 
 class UsageError(ValueError):
@@ -289,7 +289,7 @@ def main(argv=None) -> int:
     try:
         payload, code = _dispatch(args)
         _emit(payload, args.out)
-    except (UsageError, QuiverParseError, NotReducedW0, NotAdapted, NotASink,
+    except (UsageError, QuiverParseError, NotReducedW0, NotAdapted,
             NotSimplyLacedAD, verify.ConditionLFails, verify.NotTypeAInstance) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -63,9 +63,10 @@ def _table(ar: ARQuiver, i: int) -> _TypeTable:
     """Every nonempty antichain of the type-i poset with its entry and ladder
     step; built once per translation quiver and type.
 
-    Each ground element has a down-set and an up-set bitmask, read off the
-    reachability sets of `ar`, so comparability is one AND, an ideal is the OR
-    of its positions' down-sets, and an element of the rest is a complement
+    Each ground element has a down-set bitmask, its `ar.down` mask cut to the
+    ground.  An ideal is the OR of its positions' down-sets, a candidate is
+    incomparable with the chosen positions when it is outside their ideal and
+    its down-set misses them, and an element of the rest is a complement
     minimal when its down-set meets the rest only in itself.  The move is +1 on
     A and -1 on the translates of the complement minimals.
     """
@@ -73,8 +74,7 @@ def _table(ar: ARQuiver, i: int) -> _TypeTable:
     if key not in ar._cache:
         ground = ar.p_set(i)
         everything = sum(1 << x for x in ground)
-        up = {x: sum(1 << y for y in ar._reach[x - 1]) & everything for x in ground}
-        down = {x: sum(1 << y for y in ground if up[y] >> x & 1) for x in ground}
+        down = {x: ar.down[x - 1] & everything for x in ground}
         found: list[tuple[int, tuple[int, ...]]] = []  # (ideal mask, positions)
 
         def extend(chosen: list[int], chosen_mask: int, ideal_mask: int, start: int) -> None:
@@ -82,7 +82,7 @@ def _table(ar: ARQuiver, i: int) -> _TypeTable:
                 found.append((ideal_mask, tuple(chosen)))
             for idx in range(start, len(ground)):
                 cand = ground[idx]
-                if not (down[cand] | up[cand]) & chosen_mask:
+                if not (ideal_mask >> cand & 1 or down[cand] & chosen_mask):
                     chosen.append(cand)
                     extend(chosen, chosen_mask | 1 << cand, ideal_mask | down[cand], idx + 1)
                     chosen.pop()

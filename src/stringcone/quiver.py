@@ -1,4 +1,4 @@
-"""Quiver orientations, sink reflections, adapted words, and the Ringel form.
+"""Quiver orientations, adapted words, and the Ringel form.
 
 Also houses the Coxeter element machinery: the sink order, its action on
 roots and weights, and in type A the cycle built by left/right insertion
@@ -26,10 +26,6 @@ from .cartan import (
 
 class QuiverParseError(ValueError):
     """Malformed quiver specification text."""
-
-
-class NotASink(ValueError):
-    """Reflection requested at a vertex that is not a sink."""
 
 
 class NotAdapted(ValueError):
@@ -95,17 +91,23 @@ def all_orientations(diagram: DynkinDiagram) -> tuple[Quiver, ...]:
     return tuple(sorted(quivers))
 
 
-def is_sink(q: Quiver, i: int) -> bool:
-    return all(src != i for src, _ in q.arrows)
+@lru_cache(maxsize=None)
+def adjacency(q: Quiver) -> tuple[tuple[tuple[int, bool], ...], ...]:
+    """Index i-1: each neighbour j of vertex i, with whether q has the arrow j -> i."""
+    return tuple(
+        tuple((a if b == i else b, b == i) for a, b in q.arrows if i in (a, b))
+        for i in range(1, q.diagram.n + 1)
+    )
 
 
-def reflect_sink(q: Quiver, i: int) -> Quiver:
-    """Reverse all arrows ending at the sink i."""
-    if not (1 <= i <= q.diagram.n):
-        raise NotASink(f"vertex {i} out of range")
-    if not is_sink(q, i):
-        raise NotASink(f"vertex {i} is not a sink of {quiver_spec(q)}")
-    return quiver(q.diagram, [(b, a) if b == i else (a, b) for a, b in q.arrows])
+def _sink_after(q: Quiver, last: list[int], i: int) -> bool:
+    """Whether i is a sink of q reflected at the letters of a prefix, each a
+    sink in turn, where last[v] is v's last position in the prefix or 0.
+    Reflecting at a sink turns its edges outward, so an edge points away from
+    whichever end was reflected later, and keeps q's direction while neither
+    end has been."""
+    li = last[i]
+    return all(last[j] > li or (into and last[j] == li) for j, into in adjacency(q)[i - 1])
 
 
 def adapted_word(q: Quiver) -> tuple[int, ...]:
@@ -117,29 +119,28 @@ def adapted_word(q: Quiver) -> tuple[int, ...]:
     d = q.diagram
     images = tuple(simple_root(d, j) for j in range(1, d.n + 1))
     word: list[int] = []
-    cur = q
+    last = [0] * (d.n + 1)
     n_pos = num_positive_roots(d)
     while len(word) < n_pos:
-        pick = None
         for i in range(1, d.n + 1):
-            if is_sink(cur, i) and all(x >= 0 for x in images[i - 1]):
-                pick = i
+            if _sink_after(q, last, i) and all(x >= 0 for x in images[i - 1]):
                 break
-        if pick is None:
+        else:
             raise InvariantViolation("no admissible sink", {"word": tuple(word)})
-        word.append(pick)
-        cur = reflect_sink(cur, pick)
-        images = times_simple(d, images, pick)
+        word.append(i)
+        last[i] = len(word)
+        images = times_simple(d, images, i)
     return tuple(word)
 
 
 def is_adapted(word, q: Quiver) -> bool:
     """True iff each letter is a sink of the successively reflected quiver."""
-    cur = q
-    for i in word:
-        if not (1 <= i <= q.diagram.n) or not is_sink(cur, i):
+    n = q.diagram.n
+    last = [0] * (n + 1)
+    for k, i in enumerate(word, start=1):
+        if not (1 <= i <= n) or not _sink_after(q, last, i):
             return False
-        cur = reflect_sink(cur, i)
+        last[i] = k
     return True
 
 
@@ -159,13 +160,21 @@ def _ringel_columns(q: Quiver) -> tuple[Vector, ...]:
     return tuple(zip(*ringel_matrix(q)))
 
 
+def check_vertex(q: Quiver, i: int) -> None:
+    """Raise ValueError unless i is a vertex 1..n of q."""
+    if not 1 <= i <= q.diagram.n:
+        raise ValueError(f"type index {i} out of range 1..{q.diagram.n}")
+
+
 def rho(q: Quiver, i: int) -> Vector:
     """Weight whose omega coordinates are the i-th column of the Ringel matrix."""
+    check_vertex(q, i)
     return _ringel_columns(q)[i - 1]
 
 
 def rho_t(q: Quiver, i: int) -> Vector:
     """Weight whose omega coordinates are the i-th row of the Ringel matrix."""
+    check_vertex(q, i)
     return tuple(ringel_matrix(q)[i - 1])
 
 
@@ -183,14 +192,13 @@ def phi_R(q: Quiver, root: Vector) -> Vector:
 @lru_cache(maxsize=None)
 def sink_order(q: Quiver) -> tuple[int, ...]:
     """Each vertex once, always the smallest available sink of the reflected quiver."""
+    n = q.diagram.n
+    last = [0] * (n + 1)
     order = []
-    cur = q
-    remaining = set(range(1, q.diagram.n + 1))
-    while remaining:
-        i = min(v for v in remaining if is_sink(cur, v))
+    for k in range(1, n + 1):
+        i = next(v for v in range(1, n + 1) if not last[v] and _sink_after(q, last, v))
         order.append(i)
-        cur = reflect_sink(cur, i)
-        remaining.remove(i)
+        last[i] = k
     return tuple(order)
 
 
@@ -240,20 +248,20 @@ def segmented_cycle(q: Quiver, i: int) -> tuple[tuple[int, ...], tuple[int, ...]
     )
 
 
-def condition_L(q: Quiver, ar) -> bool:
+def condition_L(ar) -> bool:
     """Every indecomposable maps to each simple with multiplicity at most one.
 
     Read from the table of `hom_to_simple` values of `ar`, the translation
-    quiver of `q`: the map space dimension from the module of root b to the
-    simple at i is (b, a_i)_R when the module precedes the simple in the
-    translation quiver order, and 0 otherwise.
+    quiver of the quiver tested: the map space dimension from the module of
+    root b to the simple at i is (b, a_i)_R when the module precedes the simple
+    in the translation quiver order, and 0 otherwise.
     """
     return all(x <= 1 for row in ar.hom_table() for x in row)
 
 
-def hom_to_simple(q: Quiver, ar, k: int, i: int) -> int:
-    """(b, a_i)_R for the root b at position k when k precedes the simple at i,
-    else 0.  Pairing with a_i reads column i of the Ringel matrix."""
+def hom_to_simple(ar, k: int, i: int) -> int:
+    """(b, a_i)_R for the root b at position k of `ar` when k precedes the simple
+    at i, else 0.  Pairing with a_i reads column i of the Ringel matrix."""
     if not ar.leq(k, ar.simple_positions[i - 1]):
         return 0
-    return sum(b * c for b, c in zip(ar.root(k), rho(q, i)))
+    return sum(b * c for b, c in zip(ar.root(k), _ringel_columns(ar.quiver)[i - 1]))

@@ -117,7 +117,7 @@ def check_cone(diagram, word, normals, box: int) -> VerificationReport:
 def require_condition_L(ar: arquiver.ARQuiver) -> None:
     """Raise ConditionLFails unless the quiver of `ar` has the multiplicity-one
     property, without which the antichain moves are no crystal operators."""
-    if not condition_L(ar.quiver, ar):
+    if not condition_L(ar):
         raise ConditionLFails(
             f"quiver {quiver_spec(ar.quiver)} has a module with multiplicity two"
         )
@@ -210,7 +210,7 @@ def _structural(
     ]
     report("hom_nonnegative", not bad, bad[:3] or None)
 
-    if condition_L(q, ar):
+    if condition_L(ar):
         # every type-i move has weight alpha_i, so every raising step adds it
         bad = [
             (a.type_index, a.positions)

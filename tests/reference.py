@@ -19,7 +19,7 @@ from stringcone.cartan import (
     simple_root,
     weyl_act,
 )
-from stringcone.quiver import ringel_matrix, sink_order
+from stringcone.quiver import quiver, quiver_spec, ringel_matrix
 from stringcone.wiring import GPPath
 
 
@@ -63,6 +63,102 @@ def coxeter_permutation(q) -> tuple[int, ...]:
         # first sink acts innermost: post-compose with the transposition (i, i+1)
         perm = [i + 1 if x == i else i if x == i + 1 else x for x in perm]
     return tuple(perm[1:])
+
+
+class NotASink(ValueError):
+    """Reflection requested at a vertex that is not a sink."""
+
+
+def is_sink(q, i) -> bool:
+    """No arrow of q starts at i."""
+    return all(src != i for src, _ in q.arrows)
+
+
+def reflect_sink(q, i):
+    """The quiver with every arrow ending at the sink i reversed, rebuilt."""
+    if not (1 <= i <= q.diagram.n):
+        raise NotASink(f"vertex {i} out of range")
+    if not is_sink(q, i):
+        raise NotASink(f"vertex {i} is not a sink of {quiver_spec(q)}")
+    return quiver(q.diagram, [(b, a) if b == i else (a, b) for a, b in q.arrows])
+
+
+def is_adapted(word, q) -> bool:
+    """Each letter is a sink of q reflected at the letters before it."""
+    for i in word:
+        if not (1 <= i <= q.diagram.n) or not is_sink(q, i):
+            return False
+        q = reflect_sink(q, i)
+    return True
+
+
+def sink_order(q) -> tuple[int, ...]:
+    """Each vertex once: the smallest sink of the reflected quiver not yet taken."""
+    order = []
+    while len(order) < q.diagram.n:
+        i = min(v for v in range(1, q.diagram.n + 1) if v not in order and is_sink(q, v))
+        order.append(i)
+        q = reflect_sink(q, i)
+    return tuple(order)
+
+
+def adapted_word(q) -> tuple[int, ...]:
+    """The greedy adapted word: each letter is the smallest sink of the
+    reflected quiver whose simple root the prefix w sends to a positive root,
+    which is when the prefix followed by it stays reduced."""
+    d = q.diagram
+    word = []
+    while len(word) < num_positive_roots(d):
+        i = next(
+            v
+            for v in range(1, d.n + 1)
+            if is_sink(q, v) and all(x >= 0 for x in weyl_act(d, word, simple_root(d, v)))
+        )
+        word.append(i)
+        q = reflect_sink(q, i)
+    return tuple(word)
+
+
+def ar_arrows(d, word) -> tuple[tuple[int, int], ...]:
+    """The pairs k < k2 of positions whose letters are adjacent in the diagram
+    with no occurrence of either letter strictly between them."""
+    adjacent = {frozenset(e) for e in d.edges}
+    out = []
+    for k in range(1, len(word) + 1):
+        for k2 in range(k + 1, len(word) + 1):
+            ends = {word[k - 1], word[k2 - 1]}
+            if frozenset(ends) in adjacent and not ends & set(word[k : k2 - 1]):
+                out.append((k, k2))
+    return tuple(out)
+
+
+def translation(word) -> dict[int, int]:
+    """Each position with an earlier occurrence of its letter, sent to the
+    nearest such occurrence."""
+    return {
+        k: max(j for j in range(1, k) if word[j - 1] == word[k - 1])
+        for k in range(1, len(word) + 1)
+        if word[k - 1] in word[: k - 1]
+    }
+
+
+def path_order(n_positions, arrows) -> set[tuple[int, int]]:
+    """The pairs (k1, k2) joined by a path of arrows from k1 to k2, the empty
+    path included: the reflexive transitive closure."""
+    succ = {}
+    for a, b in arrows:
+        succ.setdefault(a, []).append(b)
+    out = set()
+    for k in range(1, n_positions + 1):
+        seen = {k}
+        stack = [k]
+        while stack:
+            for b in succ.get(stack.pop(), ()):
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        out |= {(k, b) for b in seen}
+    return out
 
 
 def is_reduced_w0(d, word) -> bool:

@@ -208,7 +208,7 @@ def test_criterion_8_crystal_consistency():
             q for n in range(2, 6) for q in all_orientations(path_diagram(n))
         ]
         instances += [
-            q for q in all_orientations(d_diagram(4)) if condition_L(q, build_ar(q))
+            q for q in all_orientations(d_diagram(4)) if condition_L(build_ar(q))
         ]
         for q in instances:
             ar = build_ar(q)

@@ -15,6 +15,8 @@ from stringcone.quiver import (
     parse_quiver,
 )
 
+import reference
+
 A4_ZIGZAG = "2>1,2>3,4>3"
 
 
@@ -98,12 +100,16 @@ def test_level_structure_everywhere(d):
 
 @pytest.mark.parametrize("d", SMALL, ids=lambda d: f"n{d.n}e{len(d.edges)}")
 def test_arrows_join_adjacent_levels(d):
-    adjacent = {frozenset(e) for e in d.edges}
+    # the one-pass build against the definitions: arrows join adjacent letters
+    # with no occurrence of either in between, the translation is the previous
+    # occurrence of the letter, and leq is the path order
     for q in all_orientations(d):
         ar = build_ar(q)
-        for k1, k2 in ar.arrows:
-            assert k1 < k2
-            assert frozenset((ar.level(k1), ar.level(k2))) in adjacent
+        assert ar.arrows == reference.ar_arrows(d, ar.word)
+        assert ar.tau == reference.translation(ar.word)
+        order = reference.path_order(ar.N, ar.arrows)
+        positions = range(1, ar.N + 1)
+        assert {(k1, k2) for k1 in positions for k2 in positions if ar.leq(k1, k2)} == order
 
 
 def test_grid_a4_golden():
@@ -152,6 +158,20 @@ def test_p_set_is_ideal_of_simple_in_hammock(n):
                 assert ar.p_set(i) == (top,) == (ar.level_positions(i)[0],)
             if not any(dst == i for _, dst in q.arrows):  # i is a source
                 assert ar.p_set(i) == ar.hammock(i)
+
+
+def test_hammock_refuses_a_type_out_of_range(a3_ar):
+    assert a3_ar.hammock(3) == (2, 3, 4)
+    for i in (0, 4):
+        with pytest.raises(ValueError, match=f"type index {i} out of range 1..3"):
+            a3_ar.hammock(i)
+
+
+def test_level_positions_refuses_a_type_out_of_range(a3_ar):
+    assert a3_ar.level_positions(3) == (2, 5)
+    for i in (0, 4):
+        with pytest.raises(ValueError, match=f"type index {i} out of range 1..3"):
+            a3_ar.level_positions(i)
 
 
 def test_grid_rejects_type_d(d4_ar):

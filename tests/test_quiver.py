@@ -3,24 +3,23 @@ import pytest
 from stringcone.arquiver import build_ar
 from stringcone.cartan import cartan_matrix, d_diagram, path_diagram, simple_root
 from stringcone.quiver import (
-    NotASink,
     QuiverParseError,
     adapted_word,
     all_orientations,
     condition_L,
     coxeter_cycle,
     is_adapted,
-    is_sink,
     parse_quiver,
     quiver_spec,
-    reflect_sink,
+    rho,
+    rho_t,
     ringel_matrix,
     segmented_cycle,
     sink_order,
 )
 
 import reference
-from reference import coxeter_permutation, ringel_form
+from reference import NotASink, coxeter_permutation, is_sink, reflect_sink, ringel_form
 
 A4_ZIGZAG = "2>1,2>3,4>3"  # 1 <- 2 -> 3 <- 4
 
@@ -85,6 +84,25 @@ def test_adapted_word_is_adapted_everywhere(n):
         assert is_adapted(adapted_word(q), q)
 
 
+@pytest.mark.parametrize(
+    "d", [path_diagram(n) for n in range(1, 7)] + [d_diagram(n) for n in (4, 5, 6)],
+    ids=lambda d: f"n{d.n}e{len(d.edges)}",
+)
+def test_walk_matches_the_reflected_quivers(d):
+    # the sink test on last occurrences against rebuilding each reflected
+    # quiver: adapted words, each one with two adjacent letters swapped, the
+    # other orientations' words, and words with a letter out of range
+    quivers = all_orientations(d)
+    words = [adapted_word(q) for q in quivers]
+    for q, word in zip(quivers, words):
+        assert word == reference.adapted_word(q)
+        assert sink_order(q) == reference.sink_order(q)
+        swapped = [word[:k] + (word[k + 1], word[k]) + word[k + 2 :] for k in range(len(word) - 1)]
+        out_of_range = [word[:-1] + (0,), (d.n + 1,) + word[1:]]
+        for other in words + swapped + out_of_range:
+            assert is_adapted(other, q) == reference.is_adapted(other, q)
+
+
 def test_ringel_matrix_examples():
     assert ringel_matrix(parse_quiver("2>1")) == ((1, 0), (-1, 1))
     q = parse_quiver("2>1,2>3")
@@ -111,18 +129,18 @@ def test_ringel_plus_transpose_is_cartan(d):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_condition_holds_for_all_type_a(n):
     for q in all_orientations(path_diagram(n)):
-        assert condition_L(q, build_ar(q))
+        assert condition_L(build_ar(q))
 
 
 def test_condition_d4_scan():
     failing = {
         quiver_spec(q)
         for q in all_orientations(d_diagram(4))
-        if not condition_L(q, build_ar(q))
+        if not condition_L(build_ar(q))
     }
     # exactly the orientation with the branch vertex as a source fails
     assert failing == {"3>1,3>2,3>4"}
-    assert condition_L(parse_quiver("4>3,3>1,3>2"), build_ar(parse_quiver("4>3,3>1,3>2")))
+    assert condition_L(build_ar(parse_quiver("4>3,3>1,3>2")))
 
 
 @pytest.mark.parametrize(
@@ -194,3 +212,19 @@ def test_single_vertex_quiver():
     q = quiver(dynkin_diagram(1, []), [])
     assert adapted_word(q) == (1,)
     assert is_sink(q, 1)
+
+
+def test_rho_refuses_a_vertex_out_of_range():
+    q = parse_quiver("2>1,2>3")
+    assert rho(q, 3) == (0, -1, 1)
+    for i in (0, 4):
+        with pytest.raises(ValueError, match=f"type index {i} out of range 1..3"):
+            rho(q, i)
+
+
+def test_rho_t_refuses_a_vertex_out_of_range():
+    q = parse_quiver("2>1,2>3")
+    assert rho_t(q, 3) == (0, 0, 1)
+    for i in (0, 4):
+        with pytest.raises(ValueError, match=f"type index {i} out of range 1..3"):
+            rho_t(q, i)

@@ -297,7 +297,7 @@ def test_depth_three_move_crystal_matches_string_crystal(d, expected):
     for q in all_orientations(d):
         word = adapted_word(q)
         ar = build_ar(q, word)
-        if not condition_L(q, ar):
+        if not condition_L(ar):
             continue
         g_move = lusztig_crystal(ar, 3)
         for v, i, w in g_move.edges:

@@ -97,13 +97,13 @@ def test_conjecture_every_multiplicity_one_branch_orientation():
     from stringcone.quiver import all_orientations, condition_L
 
     for q in all_orientations(d_diagram(4)):
-        if condition_L(q, build_ar(q)):
+        if condition_L(build_ar(q)):
             assert check_conjecture(q, box=1).passed
 
 
 def _adapted_words(q, limit):
     from stringcone.cartan import cartan_matrix, num_positive_roots, simple_root
-    from stringcone.quiver import is_sink, reflect_sink
+    from reference import is_sink, reflect_sink
 
     d = q.diagram
     cm = cartan_matrix(d)
