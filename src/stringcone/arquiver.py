@@ -49,9 +49,6 @@ class ARQuiver:
     def root(self, k: int) -> Vector:
         return self.roots[k - 1]
 
-    def level(self, k: int) -> int:
-        return self.word[k - 1]
-
     def level_positions(self, i: int) -> tuple[int, ...]:
         check_vertex(self.quiver, i)
         return tuple(k for k in range(1, self.N + 1) if self.word[k - 1] == i)

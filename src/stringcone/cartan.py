@@ -67,20 +67,9 @@ def dynkin_diagram(n: int, edges) -> DynkinDiagram:
     branch = [v for v in adj if len(adj[v]) > 2]
     if any(len(adj[v]) > 3 for v in adj) or len(branch) > 1:
         raise NotSimplyLacedAD("vertex degrees admit only types A and D")
-    if branch:
-        b = branch[0]
-        comps = []
-        for start in adj[b]:
-            comp = {start}
-            stack = [start]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w != b and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(len(comp))
-        if sorted(comps)[:2] != [1, 1]:
-            raise NotSimplyLacedAD("branch legs admit only type D (two legs of length one)")
+    # the branch vertex's legs are paths, of length one exactly at a leaf
+    if branch and sum(len(adj[w]) == 1 for w in adj[branch[0]]) < 2:
+        raise NotSimplyLacedAD("branch legs admit only type D (two legs of length one)")
     return DynkinDiagram(n, canon)
 
 

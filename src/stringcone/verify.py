@@ -199,9 +199,19 @@ def _structural(
     ]
     report("coxeter_rho", not bad, bad or None)
 
-    # ordering refines the path order; map-space dimensions stay nonnegative
-    bad = [(k1, k2) for k1 in range(1, ar.N + 1) for k2 in range(1, k1) if ar.leq(k1, k2)]
-    report("ordering_refines_paths", not bad, bad[:3] or None)
+    # mesh relation: the roots at k and at its translate sum to the roots at
+    # the middle terms, the starts of the arrows into k
+    middle = [[0] * n for _ in range(ar.N)]
+    for j, k in ar.arrows:
+        middle[k - 1] = list(map(add, middle[k - 1], ar.root(j)))
+    bad = [
+        k
+        for k, t in sorted(ar.tau.items())
+        if list(map(add, ar.root(k), ar.root(t))) != middle[k - 1]
+    ]
+    report("mesh_relation", not bad, bad[:3] or None)
+
+    # map-space dimensions stay nonnegative
     bad = [
         (k, i)
         for k, row in enumerate(ar.hom_table(), start=1)

@@ -132,6 +132,7 @@ class _TypeTable(NamedTuple):
     graph: Mapping[Node, tuple[tuple[int, Node], ...]]
     forbidden: frozenset[tuple[int, int]]
     paths: tuple[GPPath, ...]
+    members: frozenset[GPPath]  # the same paths, for membership tests
     # wire -> its crossings in its travel direction, and crossing -> index there
     rides: Mapping[int, tuple[tuple[int, ...], Mapping[int, int]]]
 
@@ -141,7 +142,8 @@ def _table(wd: WiringDiagram, i: int) -> _TypeTable:
     keyed by vertex, the (crossing, wire) pairs a path may not pass straight
     through (both wires of the crossing travel the same way and this one
     ascends), every path from the entry border vertex to the exit vertex that
-    avoids them, sorted, and each wire's crossings in its travel direction.
+    avoids them, sorted and as a set, and each wire's crossings in its travel
+    direction.
 
     Crossing k swaps wires a < b, with a on the upper track before it, so a
     descends going right: of two right-going wires b ascends, of two left-going
@@ -197,7 +199,8 @@ def _table(wd: WiringDiagram, i: int) -> _TypeTable:
     dfs(first_node, first_wire)
     found.sort(key=lambda p: (p.crossings, p.wires))
     wd._cache[key] = _TypeTable(
-        MappingProxyType(graph), forbidden, tuple(found), MappingProxyType(rides)
+        MappingProxyType(graph), forbidden, tuple(found), frozenset(found),
+        MappingProxyType(rides),
     )
     return wd._cache[key]
 
@@ -209,21 +212,12 @@ def gp_paths(wd: WiringDiagram, i: int) -> tuple[GPPath, ...]:
 
 
 def is_gp_path(wd: WiringDiagram, path: GPPath) -> bool:
-    """Validate endpoints, edge orientation, and absence of forbidden crossings."""
+    """Whether the path is one of the type-i paths that `gp_paths` lists; list
+    fields are read as tuples."""
     i = path.type_index
-    if not (1 <= i <= wd.n) or len(path.wires) != len(path.crossings) + 1:
+    if not (1 <= i <= wd.n):
         return False
-    if path.wires[0] != i + 1 or path.wires[-1] != i:
-        return False
-    graph, forbidden, _, _ = _table(wd, i)
-    node: Node = ("l", i + 1)
-    for k, wire, out_wire in zip(path.crossings, path.wires, path.wires[1:]):
-        if (wire, k) not in graph.get(node, ()) or out_wire not in wd.pairs[k - 1]:
-            return False
-        if out_wire == wire and (k, wire) in forbidden:
-            return False
-        node = k
-    return (path.wires[-1], ("l", i)) in graph.get(node, ())
+    return GPPath(i, tuple(path.crossings), tuple(path.wires)) in _table(wd, i).members
 
 
 def k_vector(wd: WiringDiagram, path: GPPath) -> Vector:

@@ -6,6 +6,7 @@ asserts: a reference only computes.
 """
 
 from collections import deque
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -309,6 +310,7 @@ def staircase_turns(ar, a) -> list[tuple[int, int]]:
     return [(j[row - 1], j[column - 1]) for row, column in sorted(found, key=lambda c: -c[0])]
 
 
+@lru_cache(maxsize=None)
 def forbidden_crossings(word, n: int, i: int) -> frozenset[tuple[int, int]]:
     """The (crossing, wire) pairs of the type-i orientation where both wires
     travel the same way and this wire climbs to a higher track in its travel
@@ -327,18 +329,32 @@ def forbidden_crossings(word, n: int, i: int) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
-def gp_paths(wd, i) -> tuple:
-    """Every type-i path by an unpruned depth-first search: from the entry
-    border vertex ("l", i+1) along the wires, wires above i rightwards and the
-    others leftwards, to the exit vertex ("l", i), never passing straight
-    through a forbidden (crossing, wire) pair; sorted by crossings, then wires."""
+@lru_cache(maxsize=None)
+def _orientation(word, n: int, i: int) -> dict:
+    """The type-i orientation's out-edges, labelled by their wire: each wire
+    runs from its left border vertex through its crossings (the letters that
+    swap it with a neighbouring track) to its right border vertex, rightwards
+    for wires above i and leftwards for the others."""
+    routes = {wire: [] for wire in range(1, n + 2)}
+    for k, (t, row) in enumerate(zip(word, _tracks(word, n)), start=1):
+        routes[row[t - 1]].append(k)
+        routes[row[t]].append(k)
     out = {}
-    for wire, route in wd.wire_route.items():
+    for wire, route in routes.items():
         nodes = [("l", wire), *route, ("r", wire)]
         if wire <= i:
             nodes.reverse()
         for a, b in zip(nodes, nodes[1:]):
             out.setdefault(a, []).append((wire, b))
+    return out
+
+
+def gp_paths(wd, i) -> tuple:
+    """Every type-i path by an unpruned depth-first search: from the entry
+    border vertex ("l", i+1) along the oriented wires to the exit vertex
+    ("l", i), never passing straight through a forbidden (crossing, wire) pair;
+    sorted by crossings, then wires."""
+    out = _orientation(wd.word, wd.n, i)
     forbidden = forbidden_crossings(wd.word, wd.n, i)
     goal = ("l", i)
     found = []
@@ -357,3 +373,48 @@ def gp_paths(wd, i) -> tuple:
     ((first_wire, first_node),) = out[("l", i + 1)]
     dfs(first_node, first_wire, (), (first_wire,))
     return tuple(sorted(found, key=lambda p: (p.crossings, p.wires)))
+
+
+def is_gp_path(wd, path) -> bool:
+    """Walk the path: its segments, one per wire, join ("l", i+1), its
+    crossings and ("l", i) by edges of the type-i orientation on that wire,
+    and it never passes straight through a forbidden (crossing, wire) pair."""
+    i = path.type_index
+    if not (1 <= i <= wd.n) or len(path.wires) != len(path.crossings) + 1:
+        return False
+    out = _orientation(wd.word, wd.n, i)
+    nodes = [("l", i + 1), *path.crossings, ("l", i)]
+    if any((wire, b) not in out.get(a, ()) for a, wire, b in zip(nodes, path.wires, nodes[1:])):
+        return False
+    forbidden = forbidden_crossings(wd.word, wd.n, i)
+    return not any(
+        wire == out_wire and (k, wire) in forbidden
+        for k, wire, out_wire in zip(path.crossings, path.wires, path.wires[1:])
+    )
+
+
+def is_ad_tree(n, edges) -> bool:
+    """Whether a tree on 1..n is of type A or D: every degree at most three,
+    at most one vertex of degree three, and, at that branch vertex, at least
+    two of its legs (the components left when it is removed) single vertices."""
+    adj = {v: set() for v in range(1, n + 1)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    branch = [v for v in adj if len(adj[v]) > 2]
+    if any(len(adj[v]) > 3 for v in adj) or len(branch) > 1:
+        return False
+    if not branch:
+        return True
+    b = branch[0]
+    legs = []
+    for start in adj[b]:
+        leg = {start}
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w != b and w not in leg:
+                    leg.add(w)
+                    stack.append(w)
+        legs.append(len(leg))
+    return sorted(legs)[:2] == [1, 1]

@@ -1,4 +1,5 @@
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,14 +39,64 @@ def test_diagram_classification():
 
 def test_diagram_rejections():
     with pytest.raises(NotSimplyLacedAD):
-        dynkin_diagram(3, [(1, 2)])  # disconnected
+        dynkin_diagram(3, [(1, 2)])  # too few edges
     with pytest.raises(NotSimplyLacedAD):
         dynkin_diagram(3, [(1, 2), (2, 3), (1, 3)])  # cycle
     with pytest.raises(NotSimplyLacedAD):
         dynkin_diagram(5, [(1, 5), (2, 5), (3, 5), (4, 5)])  # degree four
-    with pytest.raises(NotSimplyLacedAD):
-        # two legs of length two at the branch vertex
+    with pytest.raises(NotSimplyLacedAD, match=re.escape("branch legs admit only type D")):
+        # two legs of length two at the branch vertex: the E6 tree
         dynkin_diagram(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)])
+    with pytest.raises(NotSimplyLacedAD, match="type D needs rank at least 4"):
+        d_diagram(3)
+    for n, edges, message in (
+        (0, [], "need at least one vertex"),
+        (3, [(1, 2), (2, 1)], "duplicate edge"),
+        (2, [(2, 2)], "loop at vertex 2"),
+        (3, [(1, 2), (2, 4)], "edge 2-4 out of vertex range 1..3"),
+        (4, [(1, 2), (2, 3), (1, 3)], "not a tree: disconnected"),  # n - 1 edges
+    ):
+        with pytest.raises(NotSimplyLacedAD, match=re.escape(message)):
+            dynkin_diagram(n, edges)
+
+
+def _labelled_trees(n):
+    """Every tree on the vertices 1..n, decoded from its Pruefer sequence."""
+    if n == 1:
+        yield ()
+        return
+    for sequence in product(range(1, n + 1), repeat=n - 2):
+        degree = [1] * (n + 1)
+        for v in sequence:
+            degree[v] += 1
+        edges = []
+        for v in sequence:
+            leaf = degree.index(1, 1)
+            edges.append((leaf, v))
+            degree[leaf] -= 1
+            degree[v] -= 1
+        u = degree.index(1, 1)
+        edges.append((u, degree.index(1, u + 1)))
+        yield tuple(edges)
+
+
+def test_dynkin_diagram_accepts_exactly_the_a_and_d_trees():
+    # every labelled tree on 1-7 vertices: n^(n-2) of them, 18,249 in all
+    legs = "branch legs admit only type D (two legs of length one)"
+    degrees = "vertex degrees admit only types A and D"
+    seen = accepted = 0
+    for n in range(1, 8):
+        for edges in _labelled_trees(n):
+            seen += 1
+            try:
+                dynkin_diagram(n, edges)
+            except NotSimplyLacedAD as exc:
+                assert str(exc) in (legs, degrees)
+                assert not reference.is_ad_tree(n, edges), edges
+            else:
+                accepted += 1
+                assert reference.is_ad_tree(n, edges), edges
+    assert (seen, accepted) == (18249, 5901)
 
 
 def test_edge_canonicalization():
@@ -97,6 +148,8 @@ def test_weyl_act_on_weight():
 def test_weyl_act_letter_range():
     with pytest.raises(ValueError):
         weyl_act(path_diagram(2), (3,), (1, 0))
+    with pytest.raises(ValueError, match="unknown basis 'x'"):
+        weyl_act(path_diagram(2), (1,), (1, 0), basis="x")
 
 
 def test_reflection_ordering_a2():

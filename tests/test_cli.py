@@ -127,6 +127,23 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "nonnegative" in err
 
 
+def test_verify_suite_prints_one_line_per_failure(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from stringcone import verify
+
+    summary = verify.run_suite(2, 0)
+    for k in (1, 5):
+        summary.reports[k] = replace(summary.reports[k], passed=False, witness=[k])
+    monkeypatch.setattr(verify, "run_suite", lambda max_rank, box: summary)
+    code, out, _ = run(capsys, "verify", "suite", "--max-rank", "2", "--box", "0")
+    assert code == 1
+    assert out.splitlines() == [
+        f"{summary.reports[k].check} FAILED on {summary.reports[k].instance}: [{k}]"
+        for k in (1, 5)
+    ]
+
+
 def test_invariant_violation_exits_one(capsys, monkeypatch):
     # a move that empties a multiplicity trips the raising operator's check,
     # which must survive python -O
@@ -324,6 +341,8 @@ REFUSED = [
     "verify theorem --quiver 2>1 --word 3,1,2",
     "verify conjecture --quiver 2>1 --word 3,1,2",
     "crystal --quiver 3>1,3>2,3>4 --param lusztig --depth 2",
+    "roots --quiver 2>1 --word a,b",
+    "strings --quiver 2>1 --box x",
 ]
 
 

@@ -10,6 +10,7 @@ from stringcone.quiver import (
     coxeter_cycle,
     is_adapted,
     parse_quiver,
+    quiver,
     quiver_spec,
     rho,
     rho_t,
@@ -46,6 +47,17 @@ def test_parse_errors():
         parse_quiver("1>2,2>3,3>1")  # cycle
     with pytest.raises(QuiverParseError):
         parse_quiver("1>5,2>5,3>5,4>5")  # degree four
+    with pytest.raises(QuiverParseError, match="vertices must be positive in token '0>1'"):
+        parse_quiver("0>1")
+
+
+@pytest.mark.parametrize(
+    "arrows", [[(1, 2)], [(1, 2), (3, 2), (2, 3)], [(1, 2), (1, 3)]],
+    ids=["missing-edge", "edge-twice", "not-an-edge"],
+)
+def test_quiver_refuses_arrows_that_do_not_orient_the_edges(arrows):
+    with pytest.raises(QuiverParseError, match="arrows do not orient the diagram edges"):
+        quiver(path_diagram(3), arrows)
 
 
 def test_spec_roundtrip():
@@ -181,6 +193,13 @@ def test_coxeter_cycle_golden():
     assert segmented_cycle(q, 1) == ((1,), (3, 5, 4, 2))
     assert segmented_cycle(q, 2) == ((2, 1), (3, 5, 4))
     assert segmented_cycle(q, 4) == ((4, 2, 1, 3), (5,))
+
+
+def test_segmented_cycle_refuses_an_index_out_of_range():
+    q = parse_quiver(A4_ZIGZAG)
+    for i in (0, 5):
+        with pytest.raises(ValueError, match=f"segment index {i} out of range"):
+            segmented_cycle(q, i)
 
 
 def test_segmented_cycle_rejects_type_d():

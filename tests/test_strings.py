@@ -85,6 +85,7 @@ def test_string_side_rejects_wrong_length_vectors(call, a):
 
 def test_membership_examples():
     assert not is_string(D2, W2, (1, 0, 0))
+    assert not is_string(D2, W2, (-1, 1, 0))  # a negative entry
     assert is_string(D2, W2, (1, 1, 0))
     for m in range(3):
         assert is_string(D2, W2, (0, 0, m))
@@ -221,6 +222,8 @@ def test_in_cone_examples():
     assert cone_points([], 1, 3) == frozenset(product(range(2), repeat=3))
     with pytest.raises(ValueError):
         in_cone((1, 0), K)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        cone_points_pruned([(1, 0, 0), (1, 0)], 1, 3)
 
 
 @given(st.data())

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import sys
@@ -190,6 +191,22 @@ def test_move_weight_increment_reads_every_move(monkeypatch):
     assert increment.witness == [(1, (4,))]
 
 
+def test_mesh_relation_catches_a_shifted_translation(monkeypatch):
+    # A4 1>2,3>2,3>4 with every translate after position 1 moved one step
+    # back: the roots at 6-10 and their new translates no longer sum to the
+    # middle terms, and the sweep itself completes
+    q = parse_quiver("1>2,3>2,3>4")
+    ar = build_ar(q)
+    assert ar.tau == {5: 1, 6: 2, 7: 3, 8: 4, 9: 5, 10: 7}
+    tau = {k: t - 1 if t > 1 else t for k, t in ar.tau.items()}
+    shifted = dataclasses.replace(ar, tau=tau, _cache={})
+    monkeypatch.setattr(verify.arquiver, "build_ar", lambda *args: shifted)
+    reports = {r.check: r for r in structural_reports(q)}
+    mesh = reports["mesh_relation"]
+    assert not mesh.passed
+    assert mesh.witness == [6, 7, 8]
+
+
 def test_suite_rank_two():
     summary = run_suite(2, 3)
     assert summary.ok
@@ -292,9 +309,10 @@ def test_reports_are_deterministic():
 @pytest.mark.parametrize(
     "max_rank, box, digest",
     [
-        (7, 0, "d03d4ef7f93556dd85a35adf59a17d6dd094245a383dee57406c521434b3bd85"),
-        (4, 2, "a520e529cecf07a5942ddb042fbec98b0c7d817bd6c9880249300d56276affa9"),
+        (7, 0, "6cc5b0b06f15ac279e00a792b86a2944b145c67cb063294e15f3d19daf9408ad"),
+        (4, 2, "eb2b96a43345064d2165c84629a75ee5dee8f2452fc542e4a61af1be9279c423"),
     ],
+    ids=["rank7-box0", "rank4-box2"],  # a re-pinned digest keeps its test id
 )
 def test_report_reprs_are_pinned(max_rank, box, digest):
     # every report of the sweep, in order and with its witness, not only the

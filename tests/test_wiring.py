@@ -13,7 +13,7 @@ from stringcone.cartan import (
 )
 from stringcone.lusztig import Antichain, antichains, move
 from stringcone.cartan import pair_root_weight
-from stringcone.quiver import adapted_word, all_orientations, phi_R, rho
+from stringcone.quiver import NotAdapted, adapted_word, all_orientations, phi_R, rho
 from stringcone import wiring
 from stringcone.wiring import (
     GPPath,
@@ -216,6 +216,57 @@ def test_path_antichain_rejects_non_gp_paths(a3_wd, a3_ar, path):
     assert not is_gp_path(a3_wd, path)
     with pytest.raises(ValueError, match="is not a path"):
         path_antichain(a3_wd, a3_ar, path)
+
+
+def _one_edit(path, n):
+    """The path with one crossing dropped (alone, or with the wire after it),
+    one wire changed to another, or its type index changed to any other in
+    0..n+1."""
+    i, crossings, wires = path.type_index, path.crossings, path.wires
+    for idx in range(len(crossings)):
+        rest = crossings[:idx] + crossings[idx + 1 :]
+        yield GPPath(i, rest, wires)
+        yield GPPath(i, rest, wires[: idx + 1] + wires[idx + 2 :])
+    for idx, wire in enumerate(wires):
+        for other in range(1, n + 2):
+            if other != wire:
+                yield GPPath(i, crossings, wires[:idx] + (other,) + wires[idx + 1 :])
+    for j in range(n + 2):
+        if j != i:
+            yield GPPath(j, crossings, wires)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_is_gp_path_matches_the_reference_walk(n):
+    # every path, every one-edit change of it, and each of these with list
+    # fields: the table's answer is the walk's, and never a TypeError
+    verdicts = set()
+    for q in all_orientations(path_diagram(n)):
+        wd = build_wiring(adapted_word(q), n)
+        for i in range(1, n + 1):
+            for path in reference.gp_paths(wd, i):
+                assert reference.is_gp_path(wd, path)
+                for p in (path, *_one_edit(path, n)):
+                    expected = reference.is_gp_path(wd, p)
+                    listed = GPPath(p.type_index, list(p.crossings), list(p.wires))
+                    assert is_gp_path(wd, p) == is_gp_path(wd, listed) == expected, p
+                    verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_gp_paths_refuses_a_type_out_of_range(a3_wd):
+    for i in (0, 4):
+        with pytest.raises(ValueError, match=f"type index {i} out of range"):
+            gp_paths(a3_wd, i)
+
+
+def test_path_readers_refuse_the_diagram_of_another_word(a3_ar):
+    # a reduced word of the same longest element, not the one a3_ar was built from
+    other = build_wiring((1, 2, 1, 3, 2, 1), 3)
+    with pytest.raises(NotAdapted, match="different words"):
+        path_antichain(other, a3_ar, gp_paths(other, 2)[0])
+    with pytest.raises(NotAdapted, match="different words"):
+        antichain_path(other, a3_ar, antichains(a3_ar, 2)[0])
 
 
 def test_round_trip_on_a3(a3_wd, a3_ar):
