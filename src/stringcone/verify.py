@@ -4,7 +4,7 @@ properties of the translation-quiver and wiring machinery."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import add
 
 from . import arquiver, lusztig, strings, wiring
@@ -76,9 +76,7 @@ def _theorem_2_4(
     cone = wiring.gp_cone(wd, typed=strict)
     witness = None
     if moves != cone:
-        extra_moves = sorted(moves - cone)
-        extra_paths = sorted(cone - moves)
-        witness = {"moves_only": extra_moves[:3], "paths_only": extra_paths[:3]}
+        witness = {"moves_only": sorted(moves - cone)[:3], "paths_only": sorted(cone - moves)[:3]}
     return VerificationReport(
         _instance(ar.quiver, ar.word), "moves_equal_path_cone", moves == cone, witness
     )
@@ -99,9 +97,8 @@ def check_cone(diagram, word, normals, box: int) -> VerificationReport:
     witness = None
     passed = generated == cone
     if not passed:
-        missing = sorted(cone - generated)
-        extra = sorted(generated - cone)
-        witness = {"cone_only": missing[:3], "generated_only": extra[:3]}
+        witness = {"cone_only": sorted(cone - generated)[:3],
+                   "generated_only": sorted(generated - cone)[:3]}
     else:
         filtered = strings.strings_in_box(diagram, word, box)
         if filtered != generated:
@@ -132,55 +129,38 @@ def check_conjecture(q: Quiver, word=None, box: int = 2) -> VerificationReport:
         word = adapted_word(q)
     ar = arquiver.build_ar(q, word)
     require_condition_L(ar)
-    normals = lusztig.move_vectors(ar)
-    report = check_cone(q.diagram, word, normals, box)
-    return VerificationReport(
-        _instance(q, word), f"moves_define_cone_box{box}", report.passed, report.witness
-    )
+    report = check_cone(q.diagram, word, lusztig.move_vectors(ar), box)
+    return replace(report, instance=_instance(q, word), check=f"moves_define_cone_box{box}")
 
 
 def structural_reports(q: Quiver, word=None) -> list[VerificationReport]:
-    """Property suite for one instance; type A gets the wiring comparisons.
-
-    The crystal checks presume the multiplicity-one property and are skipped
-    where it fails (they would test a vacuous hypothesis).  They read the move
-    table, not a crystal graph: `move_weight_increment` checks that every type-i
-    move vector has weight alpha_i, which covers every raising step at any
-    depth, and `raising_witness` that raising each antichain's u-vector adds
-    exactly its move.
-    """
+    """Property suite for one instance: the reports of every group of
+    `STRUCTURAL_CHECKS` that applies to it.  The crystal checks presume the
+    multiplicity-one property and are skipped where it fails (they would test a
+    vacuous hypothesis); type A gets the wiring comparisons."""
     if word is None:
         word = adapted_word(q)
     return _structural(arquiver.build_ar(q, word))
 
 
-def _structural(
-    ar: arquiver.ARQuiver, wd: wiring.WiringDiagram | None = None
-) -> list[VerificationReport]:
-    """`structural_reports` on a built translation quiver; in type A, `wd` is
-    the wiring diagram of the same word, built here when not given."""
-    q, word = ar.quiver, ar.word
-    inst = _instance(q, word)
-    d = q.diagram
-    n = d.n
-    simple = [simple_root(d, i) for i in range(1, n + 1)]
-    out: list[VerificationReport] = []
+# The structural checks.  Each takes the translation quiver and, in type A, the
+# wiring diagram of the same word (None otherwise), a per-type check also the
+# type index i, and returns the list of what it found wrong.  They read the move
+# table, not a crystal graph.
 
-    def report(check: str, passed: bool, witness=None) -> None:
-        out.append(VerificationReport(inst, check, passed, witness))
 
+def translation_is_coxeter(ar, wd):
     # translation matches the Coxeter action on roots
-    bad = [
-        k
-        for k in range(1, ar.N + 1)
-        if k in ar.tau and ar.root(ar.tau[k]) != coxeter_act_root(q, ar.root(k))
-    ]
-    report("translation_is_coxeter", not bad, bad[:3] or None)
+    return [k for k in range(1, ar.N + 1)
+            if k in ar.tau and ar.root(ar.tau[k]) != coxeter_act_root(ar.quiver, ar.root(k))]
 
+
+def level_endpoints(ar, wd):
     # first/last positions per level carry projective/injective vectors
-    invol = w0_involution(d)
+    q = ar.quiver
+    invol = w0_involution(q.diagram)
     bad = []
-    for i in range(1, n + 1):
+    for i in range(1, ar.n + 1):
         positions = ar.level_positions(i)
         if not positions:
             bad.append(("missing-level", i))
@@ -189,156 +169,189 @@ def _structural(
             bad.append(("projective", i))
         if ar.root(positions[-1]) != arquiver.injective_dimension_vector(q, invol[i - 1]):
             bad.append(("injective", i))
-    report("level_endpoints", not bad, bad[:3] or None)
+    return bad
 
+
+def coxeter_rho(ar, wd):
     # coxeter action sends the column weights to the negated row weights
-    bad = [
-        i
-        for i in range(1, n + 1)
-        if coxeter_act_weight(q, rho(q, i)) != tuple(-x for x in rho_t(q, i))
-    ]
-    report("coxeter_rho", not bad, bad or None)
+    q = ar.quiver
+    return [i for i in range(1, ar.n + 1)
+            if coxeter_act_weight(q, rho(q, i)) != tuple(-x for x in rho_t(q, i))]
 
+
+def mesh_relation(ar, wd):
     # mesh relation: the roots at k and at its translate sum to the roots at
     # the middle terms, the starts of the arrows into k
-    middle = [[0] * n for _ in range(ar.N)]
+    middle = [[0] * ar.n for _ in range(ar.N)]
     for j, k in ar.arrows:
         middle[k - 1] = list(map(add, middle[k - 1], ar.root(j)))
-    bad = [
-        k
-        for k, t in sorted(ar.tau.items())
-        if list(map(add, ar.root(k), ar.root(t))) != middle[k - 1]
-    ]
-    report("mesh_relation", not bad, bad[:3] or None)
+    return [k for k, t in sorted(ar.tau.items())
+            if list(map(add, ar.root(k), ar.root(t))) != middle[k - 1]]
 
+
+def hom_nonnegative(ar, wd):
     # map-space dimensions stay nonnegative
-    bad = [
-        (k, i)
-        for k, row in enumerate(ar.hom_table(), start=1)
-        for i, dim in enumerate(row, start=1)
-        if dim < 0
-    ]
-    report("hom_nonnegative", not bad, bad[:3] or None)
+    rows = enumerate(ar.hom_table(), start=1)
+    return [(k, i) for k, row in rows for i, dim in enumerate(row, start=1) if dim < 0]
 
-    if condition_L(ar):
-        # every type-i move has weight alpha_i, so every raising step adds it
-        bad = [
-            (a.type_index, a.positions)
-            for a, vec in lusztig.all_moves(ar)
-            if lusztig.lusztig_weight(ar, vec) != simple[a.type_index - 1]
-        ]
-        report("move_weight_increment", not bad, bad[:3] or None)
 
-        # witness property: raising the translated-minimals module applies the move
-        bad = []
-        for i in range(1, n + 1):
-            for a, ideal, comin, mv, t_u in lusztig.antichain_rows(ar, i):
-                expected = tuple(map(add, t_u, mv))
-                if lusztig.lusztig_e(ar, i, t_u) != expected:
-                    bad.append((i, a.positions))
-                for k in ideal:
-                    delta = t_u[k - 1] - (t_u[ar.tau[k] - 1] if k in ar.tau else 0)
-                    if delta < 0:
-                        bad.append(("ideal-delta", i, a.positions, k))
-                for k in comin:
-                    delta = t_u[k - 1] - (t_u[ar.tau[k] - 1] if k in ar.tau else 0)
-                    if delta != -1:
-                        bad.append(("comin-delta", i, a.positions, k))
-        report("raising_witness", not bad, bad[:3] or None)
+def move_weight_increment(ar, wd):
+    # every type-i move has weight alpha_i, so every raising step adds it
+    simple = [simple_root(ar.quiver.diagram, i) for i in range(1, ar.n + 1)]
+    return [(a.type_index, a.positions) for a, vec in lusztig.all_moves(ar)
+            if lusztig.lusztig_weight(ar, vec) != simple[a.type_index - 1]]
 
-    if diagram_type(d) != "A":
-        return out
 
-    if wd is None:
-        wd = wiring.build_wiring(word, n)
+def raising_witness(ar, wd):
+    # witness property: raising the translated-minimals module applies the move
+    bad = []
+    for i in range(1, ar.n + 1):
+        for a, ideal, comin, mv, t_u in lusztig.antichain_rows(ar, i):
+            expected = tuple(map(add, t_u, mv))
+            if lusztig.lusztig_e(ar, i, t_u) != expected:
+                bad.append((i, a.positions))
+            for k in ideal:
+                delta = t_u[k - 1] - (t_u[ar.tau[k] - 1] if k in ar.tau else 0)
+                if delta < 0:
+                    bad.append(("ideal-delta", i, a.positions, k))
+            for k in comin:
+                delta = t_u[k - 1] - (t_u[ar.tau[k] - 1] if k in ar.tau else 0)
+                if delta != -1:
+                    bad.append(("comin-delta", i, a.positions, k))
+    return bad
 
+
+def chamber_weights(ar, wd):
     # chamber weights against the Weyl-translated fundamental weights
+    d, word = ar.quiver.diagram, ar.word
     bad = []
     for k in range(1, ar.N + 1):
         # in the weight basis the fundamental weight omega_i has coordinates e_i
-        omega = simple[word[k - 1] - 1]
+        omega = simple_root(d, word[k - 1])
         if wiring.lambda_minus(wd, k) != weyl_act(d, word[: k - 1], omega, basis="weight"):
             bad.append(("minus", k))
         if wiring.lambda_plus(wd, k) != weyl_act(d, word[:k], omega, basis="weight"):
             bad.append(("plus", k))
-    report("chamber_weights", not bad, bad[:3] or None)
+    return bad
 
+
+def lambda_plus_column_map(ar, wd):
     # lambda-plus equals the negated column map on every crossing
-    bad = [k for k in range(1, ar.N + 1) if wiring.lambda_plus(wd, k) != phi_R(q, ar.root(k))]
-    report("lambda_plus_column_map", not bad, bad[:3] or None)
+    return [k for k in range(1, ar.N + 1)
+            if wiring.lambda_plus(wd, k) != phi_R(ar.quiver, ar.root(k))]
 
+
+def membership_pairing(ar, wd):
     # membership pairing: (root, rho_i) equals the i-th left-label coordinate
     bad = []
-    rhos = [rho(q, i) for i in range(1, n + 1)]
+    rhos = [rho(ar.quiver, i) for i in range(1, ar.n + 1)]
     for k in range(1, ar.N + 1):
         lm = wiring.lambda_minus(wd, k)
-        for i in range(1, n + 1):
+        for i in range(1, ar.n + 1):
             if pair_root_weight(ar.root(k), rhos[i - 1]) != lm[i - 1]:
                 bad.append((k, i))
-    report("membership_pairing", not bad, bad[:3] or None)
+    return bad
 
-    for i in range(1, n + 1):
-        grid = arquiver.grid_A(ar, i)
-        z = wiring.zones(wd, i)
-        ham = set(ar.hammock(i))
-        pset = set(ar.p_set(i))
 
-        # grid cells carry the segment-interval roots; order matches path order
-        bad = []
-        for (c1, pos1) in grid.cells.items():
-            for (c2, pos2) in grid.cells.items():
-                if pos1 in pset and pos2 in pset:
-                    if grid.leq(c1, c2) != ar.leq(pos1, pos2):
-                        bad.append((c1, c2))
-        report(f"grid_order_type{i}", not bad, bad[:3] or None)
+def grid_order(ar, wd, i):
+    # grid cells carry the segment-interval roots; order matches path order
+    grid = arquiver.grid_A(ar, i)
+    pset = set(ar.p_set(i))
+    cells = [(c, pos) for c, pos in grid.cells.items() if pos in pset]
+    return [(c1, c2) for c1, pos1 in cells for c2, pos2 in cells
+            if grid.leq(c1, c2) != ar.leq(pos1, pos2)]
 
-        # the subgraph on the hammock matches wiring adjacency through positions
-        adj_ar = {
-            frozenset((k1, k2))
-            for k1, k2 in ar.arrows
-            if k1 in ham and k2 in ham
-        }
-        adj_wd = set()
-        for wire, route in wd.wire_route.items():
-            for u, v in zip(route, route[1:]):
-                if u in ham and v in ham:
-                    adj_wd.add(frozenset((u, v)))
-        report(f"hammock_isomorphism_type{i}", adj_ar == adj_wd,
-               sorted(map(sorted, adj_ar ^ adj_wd))[:3] or None)
 
-        # rightmost chamber corners realize the module positions
-        report(f"zone_positions_type{i}", z.z_positions == pset,
-               sorted(z.z_positions ^ pset) or None)
+def hammock_isomorphism(ar, wd, i):
+    # the subgraph on the hammock matches wiring adjacency through positions
+    ham = set(ar.hammock(i))
+    adj_ar = {frozenset((k1, k2)) for k1, k2 in ar.arrows if k1 in ham and k2 in ham}
+    adj_wd = {frozenset((u, v)) for route in wd.wire_route.values()
+              for u, v in zip(route, route[1:]) if u in ham and v in ham}
+    return sorted(map(sorted, adj_ar ^ adj_wd))
 
-        # limiting path is a valid path contributing the simple-root coordinate
-        delta_ok = wiring.is_gp_path(wd, z.delta)
-        alpha_pos = ar.position_by_root[simple[i - 1]]
-        kvec = wiring.k_vector(wd, z.delta)
-        expected = tuple(1 if k == alpha_pos else 0 for k in range(1, ar.N + 1))
-        report(f"limiting_path_type{i}", delta_ok and kvec == expected, None)
 
-        # every path stays on zone vertices; border vertices of the zone lie
-        # on the limiting path
-        paths = wiring.gp_paths(wd, i)
-        bad = [p.crossings for p in paths if not set(p.crossings) <= z.y_positions]
-        report(f"paths_inside_zone_type{i}", not bad, bad[:3] or None)
-        outside = z.y_positions - z.z_positions - set(z.delta.crossings)
-        report(f"zone_border_on_limiting_type{i}", not outside, sorted(outside) or None)
+def zone_positions(ar, wd, i):
+    # rightmost chamber corners realize the module positions
+    return sorted(wiring.zones(wd, i).z_positions ^ set(ar.p_set(i)))
 
-        # path/antichain correspondence matches vectors one for one
-        chains = lusztig.antichains(ar, i)
-        bad = []
-        if len(paths) != len(chains):
-            bad.append(("count", len(paths), len(chains)))
-        rebuilt = {a: wiring.antichain_path(wd, ar, a) for a in chains}
-        for a, p in rebuilt.items():
-            if wiring.k_vector(wd, p) != lusztig.move(ar, a):
-                bad.append(("vector", a.positions))
-        for p in paths:
-            if rebuilt.get(wiring.path_antichain(wd, ar, p)) != p:
-                bad.append(("roundtrip", p.crossings))
-        report(f"path_antichain_bijection_type{i}", not bad, bad[:3] or None)
 
+def limiting_path(ar, wd, i):
+    # limiting path is a valid path contributing the simple-root coordinate
+    delta = wiring.zones(wd, i).delta
+    alpha_pos = ar.position_by_root[simple_root(ar.quiver.diagram, i)]
+    expected = tuple(1 if k == alpha_pos else 0 for k in range(1, ar.N + 1))
+    if wiring.is_gp_path(wd, delta) and wiring.k_vector(wd, delta) == expected:
+        return []
+    return [delta.crossings]
+
+
+def paths_inside_zone(ar, wd, i):
+    # every path stays on zone vertices
+    y_positions = wiring.zones(wd, i).y_positions
+    return [p.crossings for p in wiring.gp_paths(wd, i) if not set(p.crossings) <= y_positions]
+
+
+def zone_border_on_limiting(ar, wd, i):
+    # border vertices of the zone lie on the limiting path
+    z = wiring.zones(wd, i)
+    return sorted(z.y_positions - z.z_positions - set(z.delta.crossings))
+
+
+def path_antichain_bijection(ar, wd, i):
+    # path/antichain correspondence matches vectors one for one
+    paths = wiring.gp_paths(wd, i)
+    chains = lusztig.antichains(ar, i)
+    bad = []
+    if len(paths) != len(chains):
+        bad.append(("count", len(paths), len(chains)))
+    rebuilt = {a: wiring.antichain_path(wd, ar, a) for a in chains}
+    for a, p in rebuilt.items():
+        if wiring.k_vector(wd, p) != lusztig.move(ar, a):
+            bad.append(("vector", a.positions))
+    for p in paths:
+        if rebuilt.get(wiring.path_antichain(wd, ar, p)) != p:
+            bad.append(("roundtrip", p.crossings))
+    return bad
+
+
+# The checks in report order, by group: every instance, under condition L, type
+# A, and type A once for each type i, reported as `<name>_type{i}`.
+STRUCTURAL_CHECKS = (
+    ("every", (translation_is_coxeter, level_endpoints, coxeter_rho, mesh_relation,
+               hom_nonnegative)),
+    ("L", (move_weight_increment, raising_witness)),
+    ("A", (chamber_weights, lambda_plus_column_map, membership_pairing)),
+    ("A per type", (grid_order, hammock_isomorphism, zone_positions, limiting_path,
+                    paths_inside_zone, zone_border_on_limiting, path_antichain_bijection)),
+)
+
+
+def _structural(
+    ar: arquiver.ARQuiver, wd: wiring.WiringDiagram | None = None
+) -> list[VerificationReport]:
+    """`structural_reports` on a built translation quiver; in type A, `wd` is
+    the wiring diagram of the same word, built here when not given.  A check
+    that raises fails with an `internal_fault` witness."""
+    inst = _instance(ar.quiver, ar.word)
+    type_a = diagram_type(ar.quiver.diagram) == "A"
+    if type_a and wd is None:
+        wd = wiring.build_wiring(ar.word, ar.n)
+    # the extra arguments of each run of a group's checks
+    once, per_type = [()], [(i,) for i in range(1, ar.n + 1)]
+    runs = {"every": once, "L": once if condition_L(ar) else [],
+            "A": once if type_a else [], "A per type": per_type if type_a else []}
+    out = []
+    for group, checks in STRUCTURAL_CHECKS:
+        for extra in runs[group]:
+            for check in checks:
+                try:
+                    bad = check(ar, wd, *extra)
+                except Exception as exc:
+                    witness = repr(getattr(exc, "witness", None) or None)
+                    bad = [("internal_fault", type(exc).__name__, str(exc), witness)]
+                name = check.__name__ + "".join(f"_type{i}" for i in extra)
+                out.append(VerificationReport(inst, name, not bad, bad[:3] or None))
     return out
 
 
@@ -372,10 +385,7 @@ def run_suite(max_rank: int, box: int) -> SuiteSummary:
             ar = arquiver.build_ar(q, word)
             wd = wiring.build_wiring(word, n)
             summary.reports.append(_theorem_2_4(ar, wd, strict=True))
-            normals = lusztig.move_vectors(ar)
-            cone = check_cone(d, word, normals, box)
-            summary.reports.append(
-                VerificationReport(_instance(q, word), cone.check, cone.passed, cone.witness)
-            )
+            cone = check_cone(d, word, lusztig.move_vectors(ar), box)
+            summary.reports.append(replace(cone, instance=_instance(q, word)))
             summary.reports.extend(_structural(ar, wd))
     return summary

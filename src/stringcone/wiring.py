@@ -280,12 +280,14 @@ class Zones:
 
 def zones(wd: WiringDiagram, i: int) -> Zones:
     """The rightmost and the boundary crossings of the chambers below wire i
-    and above wire i+1, with the limiting path.
+    and above wire i+1, with the limiting path; found once per diagram and type.
 
     Each band's chambers lie between its consecutive caps: 0, the crossings at
     that level, then N+1, listed once per diagram.  A chamber's label is read at its left gap, and its
     corners are its caps and the crossings on the neighbouring levels.
     """
+    if ("zones", i) in wd._cache:
+        return wd._cache["zones", i]
     v_alpha = wd.crossing_of(i, i + 1)
     z: set[int] = set()
     y: set[int] = set()
@@ -302,7 +304,8 @@ def zones(wd: WiringDiagram, i: int) -> Zones:
                 )
             z.add(hi)
             y.update(p for p in range(max(lo, 1), hi + 1) if abs(wd.level(p) - band) <= 1)
-    return Zones(limiting_path(wd, i), frozenset(z), frozenset(y))
+    wd._cache["zones", i] = Zones(limiting_path(wd, i), frozenset(z), frozenset(y))
+    return wd._cache["zones", i]
 
 
 def _turns(ar: ARQuiver, path: GPPath) -> Antichain:

@@ -144,6 +144,35 @@ def test_verify_suite_prints_one_line_per_failure(capsys, monkeypatch):
     ]
 
 
+def test_verify_suite_json_carries_an_internal_fault(capsys, monkeypatch):
+    # a check that raises is one failing report whose witness survives JSON
+    import dataclasses
+
+    from stringcone import verify
+    from stringcone.quiver import quiver_spec
+
+    original = verify.arquiver.build_ar
+
+    def shifted(q, word=None):
+        ar = original(q, word)
+        if quiver_spec(q) != "2>1,2>3":
+            return ar
+        tau = {k: t - 1 if t > 1 else t for k, t in ar.tau.items()}
+        return dataclasses.replace(ar, tau=tau, _cache={})
+
+    monkeypatch.setattr(verify.arquiver, "build_ar", shifted)
+    code, out, _ = run(
+        capsys, "verify", "suite", "--max-rank", "3", "--box", "0", "--format", "json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["checks"] == 203  # the clean sweep's count
+    faults = [f for f in payload["failures"] if f["check"] == "raising_witness"]
+    assert len(faults) == 1
+    assert faults[0]["instance"].startswith("quiver 2>1,2>3 ")
+    assert faults[0]["witness"][0][:2] == ["internal_fault", "InvariantViolation"]
+
+
 def test_invariant_violation_exits_one(capsys, monkeypatch):
     # a move that empties a multiplicity trips the raising operator's check,
     # which must survive python -O

@@ -21,7 +21,7 @@ from stringcone.verify import (
     run_suite,
     structural_reports,
 )
-from stringcone.wiring import build_wiring, gp_cone, gp_paths
+from stringcone.wiring import build_wiring, gp_cone, gp_paths, zones
 
 
 def test_theorem_a2():
@@ -207,6 +207,36 @@ def test_mesh_relation_catches_a_shifted_translation(monkeypatch):
     assert mesh.witness == [6, 7, 8]
 
 
+@pytest.mark.parametrize("spec, count", [("2>1,2>3", 31), ("4>3,3>1,3>2", 7)])
+def test_a_raising_check_fails_under_its_own_name(monkeypatch, spec, count):
+    # on A3 and D4 the same shift makes raising a u-vector leave the quiver's
+    # multiplicities: the raising_witness check raises, and the sweep still
+    # makes every report of a clean instance, that one failing with the fault
+    q = parse_quiver(spec)
+    ar = build_ar(q)
+    tau = {k: t - 1 if t > 1 else t for k, t in ar.tau.items()}
+    shifted = dataclasses.replace(ar, tau=tau, _cache={})
+    monkeypatch.setattr(verify.arquiver, "build_ar", lambda *args: shifted)
+    reports = structural_reports(q)
+    assert len(reports) == count
+    failed = {r.check: r.witness for r in reports if not r.passed}
+    assert {"translation_is_coxeter", "mesh_relation", "move_weight_increment"} <= set(failed)
+    ((kind, exc, message, witness),) = failed["raising_witness"]
+    assert (kind, exc, message) == (
+        "internal_fault", "InvariantViolation", "raising gave a negative multiplicity"
+    )
+    assert witness.startswith("{'type': ")
+
+
+def test_limiting_path_reports_its_crossings(monkeypatch, a3):
+    # a refused limiting path is reported by its crossings, not by None
+    monkeypatch.setattr(verify.wiring, "is_gp_path", lambda wd, path: False)
+    reports = {r.check: r for r in structural_reports(*a3)}
+    assert not reports["limiting_path_type1"].passed
+    assert reports["limiting_path_type1"].witness == [(1,)]
+    assert reports["limiting_path_type2"].witness == [(2, 5, 6, 4, 1)]
+
+
 def test_suite_rank_two():
     summary = run_suite(2, 3)
     assert summary.ok
@@ -292,6 +322,7 @@ def test_paths_enumerated_once_per_type():
     wd = build_wiring(adapted_word(parse_quiver("1>2,3>2,3>4")), 4)
     for i in range(1, 5):
         assert gp_paths(wd, i) is gp_paths(wd, i)
+        assert zones(wd, i) is zones(wd, i)
 
 
 def test_suite_trivial_rank():
