@@ -49,7 +49,8 @@ MUTANTS = [
      "return c1[0] <= c2[0] and c1[1] <= c2[1]",
      ["grid_order"]),
     ("coxeter-weight-sinks-unreversed", "quiver.py",
-     "weyl_act(q.diagram, sink_order(q)[::-1], v, basis", "weyl_act(q.diagram, sink_order(q), v, basis",
+     "weyl_act(q.diagram, sink_order(q)[::-1], v, basis",
+     "weyl_act(q.diagram, sink_order(q), v, basis",
      ["coxeter_rho"]),
     ("path-indicator-flipped", "arquiver.py", "if into != forward and", "if into == forward and",
      ["level_endpoints"]),

@@ -224,10 +224,11 @@ def raising_witness(ar, wd):
 def chamber_weights(ar, wd):
     # chamber weights against the Weyl-translated fundamental weights
     d, word = ar.quiver.diagram, ar.word
+    simple = [simple_root(d, i) for i in range(1, ar.n + 1)]
     bad = []
     for k in range(1, ar.N + 1):
         # in the weight basis the fundamental weight omega_i has coordinates e_i
-        omega = simple_root(d, word[k - 1])
+        omega = simple[word[k - 1] - 1]
         if wiring.lambda_minus(wd, k) != weyl_act(d, word[: k - 1], omega, basis="weight"):
             bad.append(("minus", k))
         if wiring.lambda_plus(wd, k) != weyl_act(d, word[:k], omega, basis="weight"):
@@ -344,13 +345,14 @@ def _structural(
     out = []
     for group, checks in STRUCTURAL_CHECKS:
         for extra in runs[group]:
+            suffix = "".join(f"_type{i}" for i in extra)
             for check in checks:
                 try:
                     bad = check(ar, wd, *extra)
                 except Exception as exc:
                     witness = repr(getattr(exc, "witness", None) or None)
                     bad = [("internal_fault", type(exc).__name__, str(exc), witness)]
-                name = check.__name__ + "".join(f"_type{i}" for i in extra)
+                name = check.__name__ + suffix
                 out.append(VerificationReport(inst, name, not bad, bad[:3] or None))
     return out
 
