@@ -10,8 +10,8 @@ position's down-set in the path order, from the letters' last positions.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .cartan import (
     InvariantViolation,
@@ -26,8 +26,7 @@ from .quiver import (
 )
 
 
-@dataclass(frozen=True)
-class ARQuiver:
+class ARQuiver(NamedTuple):
     quiver: Quiver
     word: tuple[int, ...]
     roots: tuple[Vector, ...]
@@ -35,8 +34,8 @@ class ARQuiver:
     tau: dict[int, int]
     position_by_root: dict[Vector, int]
     simple_positions: tuple[int, ...]  # position of the simple root at i, index i-1
-    down: tuple[int, ...] = field(repr=False)  # index k-1: bit j for each j <= k
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    down: tuple[int, ...]  # index k-1: bit j for each j <= k
+    cache: dict
 
     @property
     def N(self) -> int:
@@ -65,17 +64,21 @@ class ARQuiver:
     def hom_table(self) -> tuple[tuple[int, ...], ...]:
         """Row k-1, column i-1: dim Hom from the module at position k to the
         simple at i (`quiver.hom_to_simple`), filled once per translation quiver."""
-        if "hom" not in self._cache:
-            self._cache["hom"] = tuple(
+        if "hom" not in self.cache:
+            self.cache["hom"] = tuple(
                 tuple(hom_to_simple(self, k, i) for i in range(1, self.n + 1))
                 for k in range(1, self.N + 1)
             )
-        return self._cache["hom"]
+        return self.cache["hom"]
 
     def p_set(self, i: int) -> tuple[int, ...]:
-        """Positions whose module admits a nonzero map to the simple at i."""
-        check_vertex(self.quiver, i)
-        return tuple(k for k, row in enumerate(self.hom_table(), start=1) if row[i - 1] > 0)
+        """Positions whose module admits a nonzero map to the simple at i, read
+        for every i from the hom table at the first call."""
+        if ("p", i) not in self.cache:
+            check_vertex(self.quiver, i)
+            for j, column in enumerate(zip(*self.hom_table()), start=1):
+                self.cache["p", j] = tuple(k for k, d in enumerate(column, start=1) if d > 0)
+        return self.cache["p", i]
 
 
 def build_ar(q: Quiver, word=None) -> ARQuiver:
@@ -115,6 +118,7 @@ def build_ar(q: Quiver, word=None) -> ARQuiver:
             position_by_root[simple_root(q.diagram, i)] for i in range(1, q.diagram.n + 1)
         ),
         down=tuple(down),
+        cache={},
     )
 
 
@@ -141,8 +145,7 @@ def _path_indicator(q: Quiver, i: int, forward: bool) -> Vector:
     return tuple(1 if v in seen else 0 for v in range(1, q.diagram.n + 1))
 
 
-@dataclass(frozen=True)
-class HammockGrid:
+class HammockGrid(NamedTuple):
     """Type A only: the [i] x [n+1-i] grid carrying the hammock of type i."""
 
     type_index: int
@@ -163,8 +166,8 @@ def grid_A(ar: ARQuiver, i: int) -> HammockGrid:
     Built once per translation quiver and type; the cells are a read-only mapping.
     """
     key = ("grid_A", i)
-    if key in ar._cache:
-        return ar._cache[key]
+    if key in ar.cache:
+        return ar.cache[key]
     q = ar.quiver
     if diagram_type(q.diagram) != "A":
         raise ValueError("hammock grids exist in type A only")
@@ -185,8 +188,8 @@ def grid_A(ar: ARQuiver, i: int) -> HammockGrid:
         raise InvariantViolation(
             "grid cells do not cover the hammock", {"type": i, "cells": cells}
         )
-    ar._cache[key] = HammockGrid(i, left, right, MappingProxyType(cells))
-    return ar._cache[key]
+    ar.cache[key] = HammockGrid(i, left, right, MappingProxyType(cells))
+    return ar.cache[key]
 
 
 def ar_dot(ar: ARQuiver) -> str:

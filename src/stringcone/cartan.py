@@ -7,8 +7,8 @@ basis; the two bases are never mixed implicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 Vector = tuple[int, ...]
 
@@ -29,8 +29,7 @@ class InvariantViolation(RuntimeError):
         self.witness = witness
 
 
-@dataclass(frozen=True, order=True)
-class DynkinDiagram:
+class DynkinDiagram(NamedTuple):
     """Tree on vertices 1..n, edges canonically sorted with smaller endpoint first."""
 
     n: int

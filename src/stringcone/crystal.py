@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CrystalGraph:
+class CrystalGraph(NamedTuple):
     source: tuple[int, ...]
     vertices: frozenset[tuple[int, ...]]
     edges: frozenset[tuple[tuple[int, ...], int, tuple[int, ...]]]

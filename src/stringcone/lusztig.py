@@ -17,7 +17,6 @@ antichain up in the table and raise ValueError for one not in
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 from operator import add
 from types import MappingProxyType
 from typing import NamedTuple
@@ -27,8 +26,7 @@ from .cartan import InvariantViolation, Vector
 from .crystal import CrystalGraph, bfs_crystal
 
 
-@dataclass(frozen=True, order=True)
-class Antichain:
+class Antichain(NamedTuple):
     type_index: int
     positions: tuple[int, ...]
 
@@ -71,7 +69,7 @@ def _table(ar: ARQuiver, i: int) -> _TypeTable:
     A and -1 on the translates of the complement minimals.
     """
     key = ("antichains", i)
-    if key not in ar._cache:
+    if key not in ar.cache:
         ground = ar.p_set(i)
         everything = sum(1 << x for x in ground)
         down = {x: ar.down[x - 1] & everything for x in ground}
@@ -114,10 +112,10 @@ def _table(ar: ARQuiver, i: int) -> _TypeTable:
                     {"type": i, "antichain": positions, "removed": x},
                 )
             steps.append((parent, x - 1, ar.tau[x] - 1 if x in ar.tau else -1))
-        ar._cache[key] = _TypeTable(
+        ar.cache[key] = _TypeTable(
             MappingProxyType(entries), tuple(entries.items()), tuple(steps)
         )
-    return ar._cache[key]
+    return ar.cache[key]
 
 
 def _entry(ar: ARQuiver, a: Antichain) -> _Entry:

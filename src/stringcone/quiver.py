@@ -7,8 +7,8 @@ together with its segmented rewritings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cartan import (
     DynkinDiagram,
@@ -32,8 +32,7 @@ class NotAdapted(ValueError):
     """The word is not adapted to the quiver."""
 
 
-@dataclass(frozen=True, order=True)
-class Quiver:
+class Quiver(NamedTuple):
     """An orientation of an A/D tree; arrows are (source, target) pairs."""
 
     diagram: DynkinDiagram

@@ -4,8 +4,8 @@ properties of the translation-quiver and wiring machinery."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from operator import add
+from typing import NamedTuple
 
 from . import arquiver, lusztig, strings, wiring
 from .cartan import (
@@ -38,8 +38,7 @@ class NotTypeAInstance(ValueError):
     """The check needs a type A quiver."""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     instance: str
     check: str
     passed: bool
@@ -130,7 +129,7 @@ def check_conjecture(q: Quiver, word=None, box: int = 2) -> VerificationReport:
     ar = arquiver.build_ar(q, word)
     require_condition_L(ar)
     report = check_cone(q.diagram, word, lusztig.move_vectors(ar), box)
-    return replace(report, instance=_instance(q, word), check=f"moves_define_cone_box{box}")
+    return report._replace(instance=_instance(q, word), check=f"moves_define_cone_box{box}")
 
 
 def structural_reports(q: Quiver, word=None) -> list[VerificationReport]:
@@ -357,9 +356,9 @@ def _structural(
     return out
 
 
-@dataclass
 class SuiteSummary:
-    reports: list[VerificationReport] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.reports: list[VerificationReport] = []
 
     @property
     def failures(self) -> list[VerificationReport]:
@@ -388,6 +387,6 @@ def run_suite(max_rank: int, box: int) -> SuiteSummary:
             wd = wiring.build_wiring(word, n)
             summary.reports.append(_theorem_2_4(ar, wd, strict=True))
             cone = check_cone(d, word, lusztig.move_vectors(ar), box)
-            summary.reports.append(replace(cone, instance=_instance(q, word)))
+            summary.reports.append(cone._replace(instance=_instance(q, word)))
             summary.reports.extend(_structural(ar, wd))
     return summary

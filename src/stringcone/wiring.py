@@ -13,7 +13,6 @@ ride (`_staircase`)."""
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from itertools import groupby
 from types import MappingProxyType
 from typing import NamedTuple
@@ -27,23 +26,21 @@ from .quiver import NotAdapted
 Node = tuple[str, int] | int  # ("l", j) / ("r", j) borders, int crossing position
 
 
-@dataclass(frozen=True)
-class GPPath:
+class GPPath(NamedTuple):
     type_index: int
     crossings: tuple[int, ...]
     wires: tuple[int, ...]  # one per segment, len(crossings) + 1
 
 
-@dataclass(frozen=True)
-class WiringDiagram:
+class WiringDiagram(NamedTuple):
     n: int
     word: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]
     occupancy: tuple[tuple[int, ...], ...]  # wires per track, per gap 0..N
     wire_route: dict[int, tuple[int, ...]]
-    _crossing: Mapping[tuple[int, int], int] = field(repr=False, compare=False)  # pair -> k
-    _caps: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)  # 0, level crossings, N+1
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    crossing: Mapping[tuple[int, int], int]  # pair -> k
+    caps: tuple[tuple[int, ...], ...]  # 0, level crossings, N+1
+    cache: dict
 
     @property
     def N(self) -> int:
@@ -54,7 +51,7 @@ class WiringDiagram:
 
     def crossing_of(self, a: int, b: int) -> int:
         """The crossing k of wires a and b; ValueError when they do not cross."""
-        k = self._crossing.get((min(a, b), max(a, b)))
+        k = self.crossing.get((min(a, b), max(a, b)))
         if k is None:
             raise ValueError(f"wires {a} and {b} do not cross")
         return k
@@ -93,11 +90,12 @@ def build_wiring(word, n: int) -> WiringDiagram:
         pairs=tuple(pairs),
         occupancy=tuple(occupancy),
         wire_route={j: tuple(r) for j, r in route.items()},
-        _crossing=MappingProxyType({pair: k for k, pair in enumerate(pairs, start=1)}),
-        _caps=tuple(
+        crossing=MappingProxyType({pair: k for k, pair in enumerate(pairs, start=1)}),
+        caps=tuple(
             (0, *(k for k, t in enumerate(word, start=1) if t == band), len(word) + 1)
             for band in range(1, n + 1)
         ),
+        cache={},
     )
 
 
@@ -150,8 +148,8 @@ def _table(wd: WiringDiagram, i: int) -> _TypeTable:
     wires a does.  The path search enters only vertices from which the exit
     vertex can be reached, found by one search backwards along the edges."""
     key = ("type", i)
-    if key in wd._cache:
-        return wd._cache[key]
+    if key in wd.cache:
+        return wd.cache[key]
     if not (1 <= i <= wd.n):
         raise ValueError(f"type index {i} out of range")
     out: dict[Node, list[tuple[int, Node]]] = {}
@@ -198,11 +196,11 @@ def _table(wd: WiringDiagram, i: int) -> _TypeTable:
     ((first_wire, first_node),) = graph[("l", i + 1)]
     dfs(first_node, first_wire)
     found.sort(key=lambda p: (p.crossings, p.wires))
-    wd._cache[key] = _TypeTable(
+    wd.cache[key] = _TypeTable(
         MappingProxyType(graph), forbidden, tuple(found), frozenset(found),
         MappingProxyType(rides),
     )
-    return wd._cache[key]
+    return wd.cache[key]
 
 
 def gp_paths(wd: WiringDiagram, i: int) -> tuple[GPPath, ...]:
@@ -271,8 +269,7 @@ def limiting_path(wd: WiringDiagram, i: int) -> GPPath:
     return _staircase(wd, i, (i + 1, i))
 
 
-@dataclass(frozen=True)
-class Zones:
+class Zones(NamedTuple):
     delta: GPPath
     z_positions: frozenset[int]
     y_positions: frozenset[int]
@@ -286,12 +283,12 @@ def zones(wd: WiringDiagram, i: int) -> Zones:
     that level, then N+1, listed once per diagram.  A chamber's label is read at its left gap, and its
     corners are its caps and the crossings on the neighbouring levels.
     """
-    if ("zones", i) in wd._cache:
-        return wd._cache["zones", i]
+    if ("zones", i) in wd.cache:
+        return wd.cache["zones", i]
     v_alpha = wd.crossing_of(i, i + 1)
     z: set[int] = set()
     y: set[int] = set()
-    for band, caps in enumerate(wd._caps, start=1):
+    for band, caps in enumerate(wd.caps, start=1):
         for lo, hi in zip(caps, caps[1:]):
             label = wd.occupancy[lo][:band]
             if i not in label or i + 1 in label:
@@ -304,8 +301,8 @@ def zones(wd: WiringDiagram, i: int) -> Zones:
                 )
             z.add(hi)
             y.update(p for p in range(max(lo, 1), hi + 1) if abs(wd.level(p) - band) <= 1)
-    wd._cache["zones", i] = Zones(limiting_path(wd, i), frozenset(z), frozenset(y))
-    return wd._cache["zones", i]
+    wd.cache["zones", i] = Zones(limiting_path(wd, i), frozenset(z), frozenset(y))
+    return wd.cache["zones", i]
 
 
 def _turns(ar: ARQuiver, path: GPPath) -> Antichain:
@@ -345,7 +342,7 @@ def antichain_path(wd: WiringDiagram, ar: ARQuiver, a: Antichain) -> GPPath:
         raise NotAdapted("translation quiver and wiring diagram use different words")
     ideal(ar, a)  # the lookup contract of lusztig's readers
     i = a.type_index
-    turns = sorted((wd._crossing[wd.pairs[k - 1][0], i + 1], k) for k in a.positions)
+    turns = sorted((wd.crossing[wd.pairs[k - 1][0], i + 1], k) for k in a.positions)
     wires = [i + 1, *(wire for _, k in turns for wire in reversed(wd.pairs[k - 1])), i]
     path = _staircase(wd, i, tuple(wire for wire, _ in groupby(wires)))
     if not is_gp_path(wd, path) or _turns(ar, path) != a:

@@ -128,13 +128,11 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_verify_suite_prints_one_line_per_failure(capsys, monkeypatch):
-    from dataclasses import replace
-
     from stringcone import verify
 
     summary = verify.run_suite(2, 0)
     for k in (1, 5):
-        summary.reports[k] = replace(summary.reports[k], passed=False, witness=[k])
+        summary.reports[k] = summary.reports[k]._replace(passed=False, witness=[k])
     monkeypatch.setattr(verify, "run_suite", lambda max_rank, box: summary)
     code, out, _ = run(capsys, "verify", "suite", "--max-rank", "2", "--box", "0")
     assert code == 1
@@ -146,8 +144,6 @@ def test_verify_suite_prints_one_line_per_failure(capsys, monkeypatch):
 
 def test_verify_suite_json_carries_an_internal_fault(capsys, monkeypatch):
     # a check that raises is one failing report whose witness survives JSON
-    import dataclasses
-
     from stringcone import verify
     from stringcone.quiver import quiver_spec
 
@@ -158,7 +154,7 @@ def test_verify_suite_json_carries_an_internal_fault(capsys, monkeypatch):
         if quiver_spec(q) != "2>1,2>3":
             return ar
         tau = {k: t - 1 if t > 1 else t for k, t in ar.tau.items()}
-        return dataclasses.replace(ar, tau=tau, _cache={})
+        return ar._replace(tau=tau, cache={})
 
     monkeypatch.setattr(verify.arquiver, "build_ar", shifted)
     code, out, _ = run(

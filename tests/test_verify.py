@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import sys
@@ -181,7 +180,7 @@ def test_move_weight_increment_reads_every_move(monkeypatch):
     entry = table.entries[target]
     bad = entry._replace(move=(entry.move[0] + 1,) + entry.move[1:])
     entries = {a: bad if a == target else e for a, e in table.rows}
-    ar._cache[("antichains", 1)] = table._replace(
+    ar.cache[("antichains", 1)] = table._replace(
         entries=MappingProxyType(entries), rows=tuple(entries.items())
     )
     monkeypatch.setattr(verify.arquiver, "build_ar", lambda *args: ar)
@@ -199,7 +198,7 @@ def test_mesh_relation_catches_a_shifted_translation(monkeypatch):
     ar = build_ar(q)
     assert ar.tau == {5: 1, 6: 2, 7: 3, 8: 4, 9: 5, 10: 7}
     tau = {k: t - 1 if t > 1 else t for k, t in ar.tau.items()}
-    shifted = dataclasses.replace(ar, tau=tau, _cache={})
+    shifted = ar._replace(tau=tau, cache={})
     monkeypatch.setattr(verify.arquiver, "build_ar", lambda *args: shifted)
     reports = {r.check: r for r in structural_reports(q)}
     mesh = reports["mesh_relation"]
@@ -215,7 +214,7 @@ def test_a_raising_check_fails_under_its_own_name(monkeypatch, spec, count):
     q = parse_quiver(spec)
     ar = build_ar(q)
     tau = {k: t - 1 if t > 1 else t for k, t in ar.tau.items()}
-    shifted = dataclasses.replace(ar, tau=tau, _cache={})
+    shifted = ar._replace(tau=tau, cache={})
     monkeypatch.setattr(verify.arquiver, "build_ar", lambda *args: shifted)
     reports = structural_reports(q)
     assert len(reports) == count
