@@ -65,8 +65,12 @@ MUTANTS = [
     ("hammock-every-position", "arquiver.py", "if self.roots[k - 1][i - 1] > 0)",
      "if self.roots[k - 1][i - 1] >= 0)",
      ["grid_order", "hammock_isomorphism"]),
-    ("zone-without-right-cap", "wiring.py", "range(max(lo, 1), hi + 1)", "range(max(lo, 1), hi)",
+    ("zone-without-right-cap", "wiring.py", "y |= {lo, hi} - {0}", "y |= {lo} - {0}",
      ["paths_inside_zone"]),
+    ("string-code-base-box", "strings.py", "(box + 1) ** k", "box ** k",
+     ["string_cone_box1"]),
+    ("cone-sum-not-taken-back", "strings.py", "partial[t] -= c * v", "partial[t] -= 0",
+     ["string_cone_box1"]),
 ]
 
 SWEEP = r"""

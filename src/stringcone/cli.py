@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from . import arquiver, lusztig, strings, verify, wiring
 from .cartan import (
@@ -50,6 +49,8 @@ def _emit(payload: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload)
         return
+    import tempfile  # only here: it loads random, shutil and more, which stdout never needs
+
     directory = os.path.dirname(os.path.abspath(out))
     tmp = None
     try:

@@ -116,6 +116,13 @@ def is_string(d: DynkinDiagram, word, a) -> bool:
     return member(a, r)
 
 
+def _weights(n: int, box: int) -> list[int]:
+    """The place value of each coordinate in a point's integer code: the code of
+    a in [0..box]^n is sum_k a_k * (box+1)^k, one code per point of the box, and
+    raising a_k adds weight[k] to it."""
+    return [(box + 1) ** k for k in range(n)]
+
+
 def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[tuple[int, ...]]:
     """The points of [0..box]^N that is_string accepts, searched upward from zero.
 
@@ -129,8 +136,9 @@ def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[tuple[int, ...
     fixed step d_p to each r_p, so k is the first maximum of r(b) iff
     r(a)_p + d_p - d_k + 1 <= r(a)_k at each earlier position p of the letter
     and r(a)_p + d_p - d_k <= r(a)_k at each later one; `ties[k]` holds these
-    (p, offset) pairs.  Only an accepted, new b is built and its r bumped.  The
-    work is |strings| * N, not the (box+1)^N of a scan.
+    (p, offset) pairs.  An accepted b is looked up by its integer code (see
+    `_weights`) among the codes found so far, and only a new b is built and its
+    r bumped.  The work is |strings| * N, not the (box+1)^N of a scan.
     """
     word = tuple(word)
     positions, rows = _layout(d, word)
@@ -140,11 +148,13 @@ def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[tuple[int, ...
         ties.append(
             [(p, step[p] - step[k] + (1 if p < k else 0)) for p in positions[letter] if p != k]
         )
+    weight = _weights(len(word), box)
     zero = (0,) * len(word)
-    found = {zero}
-    stack = [(zero, [0] * len(word))]
+    codes = {0}
+    found = [zero]
+    stack = [(0, zero, [0] * len(word))]
     while stack:
-        a, r = stack.pop()
+        code, a, r = stack.pop()
         for k, tie in enumerate(ties):
             if a[k] < box:
                 top = r[k]
@@ -152,10 +162,13 @@ def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[tuple[int, ...
                     if r[p] + offset > top:
                         break
                 else:
-                    b = a[:k] + (a[k] + 1,) + a[k + 1:]
-                    if b not in found:
-                        found.add(b)
-                        stack.append((b, _bump(r.copy(), rows[k], k, 1)))
+                    c = code + weight[k]
+                    if c not in codes:
+                        codes.add(c)
+                        b = a[:k] + (a[k] + 1,) + a[k + 1:]
+                        found.append(b)
+                        stack.append((c, b, _bump(r.copy(), rows[k], k, 1)))
+    del codes  # before the frozenset is built, so the two never coexist
     return frozenset(found)
 
 
@@ -163,25 +176,32 @@ def generate_strings(d: DynkinDiagram, word, box: int) -> frozenset[tuple[int, .
     """Close the zero vector under all raising operators, pruned to the box.
 
     Pruning is sound: a raising step only increments one coordinate, so every
-    in-box string is reached through intermediates that stay in the box.
+    in-box string is reached through intermediates that stay in the box.  A
+    raised point is looked up by its integer code (see `_weights`) among the
+    codes reached so far, and only a new one is built and its r bumped.
     """
     word = tuple(word)
     positions, rows = _layout(d, word)
     last_first = [ps[::-1] for ps in positions.values()]
+    weight = _weights(len(word), box)
     zero = (0,) * len(word)
-    seen = {zero}
-    stack = [(zero, [0] * len(word))]
+    codes = {0}
+    found = [zero]
+    stack = [(0, zero, [0] * len(word))]
     while stack:
-        a, r = stack.pop()
+        code, a, r = stack.pop()
         at = r.__getitem__
         for ps in last_first:
             k = max(ps, key=at)  # the raising rule: the last maximum of r(a)
             if a[k] < box:
-                b = a[:k] + (a[k] + 1,) + a[k + 1:]
-                if b not in seen:
-                    seen.add(b)
-                    stack.append((b, _bump(r.copy(), rows[k], k, 1)))
-    return frozenset(seen)
+                c = code + weight[k]
+                if c not in codes:
+                    codes.add(c)
+                    b = a[:k] + (a[k] + 1,) + a[k + 1:]
+                    found.append(b)
+                    stack.append((c, b, _bump(r.copy(), rows[k], k, 1)))
+    del codes  # before the frozenset is built, so the two never coexist
+    return frozenset(found)
 
 
 def string_crystal(d: DynkinDiagram, word, depth: int) -> CrystalGraph:
@@ -209,18 +229,29 @@ def cone_points_pruned(normals, box: int, dim: int) -> frozenset[tuple[int, ...]
     set, such an inequality reads partial + c_k * x_k >= 0, so it bounds x_k
     exactly: x_k >= ceil(-partial / c_k) when c_k > 0 and
     x_k <= floor(partial / -c_k) when c_k < 0, both by integer floor division.
-    Each node loops over the values between its bounds and tests nothing else.
+    Each normal's partial is a running sum: setting x_j adds c_j * x_j to the
+    partial of every normal with j in its support before k, and backtracking
+    takes it off again.  Each node reads its bounds from those sums, stops as
+    soon as they cross, and loops over the values between them.
     """
     normals = [tuple(v) for v in normals]
     for normal in normals:
         if len(normal) != dim:
             raise ValueError("dimension mismatch between box and normal")
-    by_last: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(dim)]
+    # normal t's running partial is partial[t]; bounds[k] holds (t, c_k) for
+    # each normal whose last support is k, terms[j] holds (t, c_j) for each
+    # normal with j in its support before that
+    bounds: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
+    terms: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
+    partial: list[int] = []
     for normal in normals:
         support = [(j, c) for j, c in enumerate(normal) if c]
         if support:
             k, c_k = support.pop()
-            by_last[k].append((c_k, support))
+            bounds[k].append((len(partial), c_k))
+            for j, c in support:
+                terms[j].append((len(partial), c))
+            partial.append(0)
     out: list[tuple[int, ...]] = []
     point = [0] * dim
 
@@ -229,16 +260,20 @@ def cone_points_pruned(normals, box: int, dim: int) -> frozenset[tuple[int, ...]
             out.append(tuple(point))
             return
         lo, hi = 0, box
-        for c_k, support in by_last[k]:
-            partial = sum(c * point[j] for j, c in support)
+        for t, c_k in bounds[k]:
             if c_k > 0:
-                lo = max(lo, -(partial // c_k))
+                lo = max(lo, -(partial[t] // c_k))
             else:
-                hi = min(hi, partial // -c_k)
+                hi = min(hi, partial[t] // -c_k)
+            if lo > hi:
+                return
         for v in range(lo, hi + 1):
             point[k] = v
+            for t, c in terms[k]:
+                partial[t] += c * v
             walk(k + 1)
-        point[k] = 0
+            for t, c in terms[k]:
+                partial[t] -= c * v
 
     walk(0)
     return frozenset(out)

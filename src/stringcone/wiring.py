@@ -280,8 +280,9 @@ def zones(wd: WiringDiagram, i: int) -> Zones:
     and above wire i+1, with the limiting path; found once per diagram and type.
 
     Each band's chambers lie between its consecutive caps: 0, the crossings at
-    that level, then N+1, listed once per diagram.  A chamber's label is read at its left gap, and its
-    corners are its caps and the crossings on the neighbouring levels.
+    that level, then N+1, listed once per diagram.  A chamber's label is read
+    at its left gap.  A zone chamber has no crossing on a neighbouring level
+    between its caps, so its boundary crossings are its caps inside 1..N.
     """
     if ("zones", i) in wd.cache:
         return wd.cache["zones", i]
@@ -300,7 +301,7 @@ def zones(wd: WiringDiagram, i: int) -> Zones:
                     {"type": i, "label": frozenset(label), "right_cap": right_cap},
                 )
             z.add(hi)
-            y.update(p for p in range(max(lo, 1), hi + 1) if abs(wd.level(p) - band) <= 1)
+            y |= {lo, hi} - {0}  # hi <= v_alpha, so only lo can be the border cap
     wd.cache["zones", i] = Zones(limiting_path(wd, i), frozenset(z), frozenset(y))
     return wd.cache["zones", i]
 

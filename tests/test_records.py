@@ -58,14 +58,25 @@ def test_sorted_orientations_keep_their_order():
     ]
 
 
-def test_import_loads_no_dataclasses():
-    # dataclasses pulls in inspect, ast, dis, tokenize and more, which nothing
-    # else needs and every CLI call would pay for at start-up; -S keeps the
-    # imports of site and of installed .pth files out of the check
-    code = "import sys, stringcone.cli; print(sorted({'dataclasses', 'inspect'} & {*sys.modules}))"
+def _loaded_by_cli_import(names):
+    """Which of `names` a fresh `import stringcone.cli` loads; -S keeps the
+    imports of site and of installed .pth files out of the check."""
+    code = f"import sys, stringcone.cli; print(sorted({set(names)!r} & {{*sys.modules}}))"
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis, tokenize and more, which nothing
+    # else needs and every CLI call would pay for at start-up
+    assert _loaded_by_cli_import({"dataclasses", "inspect"}) == "[]\n"
+
+
+def test_import_loads_no_tempfile():
+    # tempfile (and random and shutil behind it) serves only `--out`, so it is
+    # imported there; a CLI call that writes to stdout must not pay for it
+    assert _loaded_by_cli_import({"tempfile"}) == "[]\n"

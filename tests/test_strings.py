@@ -162,6 +162,38 @@ def test_point_oracle_matches_box_scan_d4(d4):
     assert per_point == strings_in_box(d, word, 1)
 
 
+@pytest.mark.parametrize("n, box", [(n, box) for n in (1, 2, 3) for box in (3, 4)])
+def test_kernels_where_code_digits_carry_type_a(n, box):
+    # past box 1 a point's integer code carries from one digit to the next;
+    # the box scans by is_string stop at rank 2: rank 3 at box 3 is scanned by
+    # test_oracle_agreement_type_a, and at box 4 its four 5^6-point boxes
+    # take about 24 s, so there the full cone scan pins every point
+    d = path_diagram(n)
+    for q in all_orientations(d):
+        word = adapted_word(q)
+        generated = generate_strings(d, word, box)
+        assert strings_in_box(d, word, box) == generated
+        normals = move_vectors(build_ar(q))
+        cone = cone_points(normals, box, len(word))
+        assert cone_points_pruned(normals, box, len(word)) == cone == generated
+        if n <= 2:
+            box_points = product(range(box + 1), repeat=len(word))
+            assert frozenset(a for a in box_points if is_string(d, word, a)) == generated
+
+
+def test_kernels_where_code_digits_carry_d4(d4):
+    # 3^12 points at box 2: the full cone scan pins every one of them, where
+    # an is_string scan would take minutes (test_point_oracle_matches_box_scan_d4
+    # runs that scan at box 1)
+    q, word = d4
+    d = q.diagram
+    generated = generate_strings(d, word, 2)
+    assert strings_in_box(d, word, 2) == generated
+    normals = move_vectors(build_ar(q))
+    cone = cone_points(normals, 2, len(word))
+    assert cone_points_pruned(normals, 2, len(word)) == cone == generated
+
+
 def test_every_generated_vertex_is_a_string(a3):
     q, word = a3
     d = q.diagram
