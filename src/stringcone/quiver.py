@@ -8,6 +8,7 @@ together with its segmented rewritings.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 from .cartan import (
@@ -63,9 +64,12 @@ def parse_quiver(text: str) -> Quiver:
         arrows.append((a, b))
     n = max(max(a, b) for a, b in arrows)
     present = {v for arrow in arrows for v in arrow}
-    missing = sorted(set(range(1, n + 1)) - present)
-    if missing:
-        raise QuiverParseError(f"vertex gap: {missing} missing below {n}")
+    if len(present) != n:
+        # the first few gaps, found within len(present) + 3 steps
+        missing = list(islice((v for v in range(1, n) if v not in present), 3))
+        raise QuiverParseError(
+            f"vertex gap: {n - len(present)} of 1..{n} missing, first {missing}"
+        )
     try:
         diagram = dynkin_diagram(n, [tuple(sorted(a)) for a in arrows])
     except NotSimplyLacedAD as exc:

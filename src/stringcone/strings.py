@@ -91,8 +91,10 @@ def is_string(d: DynkinDiagram, word, a) -> bool:
     The image is the raising-closure of the zero vector, and lowering undoes
     raising exactly wherever it is defined; so a nonzero point lies in the
     image iff some applicable lowering does (the last raising edge of any
-    witnessing path can be peeled off).  Search the lowerings with memoization,
-    carrying r along each lowering step.
+    witnessing path can be peeled off), that is iff zero is reached by
+    lowering.  Search the lowerings depth first on an explicit stack, carrying
+    r along each lowering step; a point met again is already searched or
+    waiting on the stack, so each point is searched once.
     """
     word = tuple(word)
     a = tuple(a)
@@ -100,20 +102,22 @@ def is_string(d: DynkinDiagram, word, a) -> bool:
     r = _r_vector(rows, a)
     if any(x < 0 for x in a):
         return False
-    seen: dict[tuple[int, ...], bool] = {(0,) * len(word): True}
-
-    def member(v: tuple[int, ...], r: list[int]) -> bool:
-        if v in seen:
-            return seen[v]
-        seen[v] = False  # cycle-safe placeholder; lowering strictly decreases
-        for ps in positions.values():
+    zero = (0,) * len(word)
+    seen = {a}
+    stack = [(a, r)]
+    while stack:
+        v, r = stack.pop()
+        if v == zero:
+            return True
+        # pushed last letter first, so the first letter's lowering is searched first
+        for ps in reversed(positions.values()):
             k = _argmax(r, ps)
-            if v[k] and member(_shift(v, k, -1), _bump(r.copy(), rows[k], k, -1)):
-                seen[v] = True
-                break
-        return seen[v]
-
-    return member(a, r)
+            if v[k]:
+                u = _shift(v, k, -1)
+                if u not in seen:
+                    seen.add(u)
+                    stack.append((u, _bump(r.copy(), rows[k], k, -1)))
+    return False
 
 
 def _weights(n: int, box: int) -> list[int]:
@@ -140,6 +144,8 @@ def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[tuple[int, ...
     `_weights`) among the codes found so far, and only a new b is built and its
     r bumped.  The work is |strings| * N, not the (box+1)^N of a scan.
     """
+    if box < 0:
+        return frozenset()  # [0..box]^N has no points
     word = tuple(word)
     positions, rows = _layout(d, word)
     ties = []
@@ -180,6 +186,8 @@ def generate_strings(d: DynkinDiagram, word, box: int) -> frozenset[tuple[int, .
     raised point is looked up by its integer code (see `_weights`) among the
     codes reached so far, and only a new one is built and its r bumped.
     """
+    if box < 0:
+        return frozenset()  # [0..box]^N has no points
     word = tuple(word)
     positions, rows = _layout(d, word)
     last_first = [ps[::-1] for ps in positions.values()]

@@ -1,6 +1,11 @@
 """End-to-end cross checks: move set versus path cone, cone membership versus
 generated strings, the bounded conjecture instance, and sweepable structural
-properties of the translation-quiver and wiring machinery."""
+properties of the translation-quiver and wiring machinery.
+
+One function, `_report`, makes every report: a check returns the list of what
+it found wrong, the report passes when the list is empty and keeps its first
+three items as the witness, and a check that raises fails with an
+`internal_fault` witness.  Bad arguments raise before any report is made."""
 
 from __future__ import annotations
 
@@ -18,7 +23,6 @@ from .cartan import (
 )
 from .quiver import (
     Quiver,
-    adapted_word,
     all_orientations,
     condition_L,
     coxeter_act_root,
@@ -53,32 +57,40 @@ class VerificationReport(NamedTuple):
         }
 
 
-def _instance(q: Quiver, word) -> str:
-    return f"quiver {quiver_spec(q)} word {','.join(str(i) for i in word)}"
+def _instance(ar: arquiver.ARQuiver) -> str:
+    return f"quiver {quiver_spec(ar.quiver)} word {','.join(map(str, ar.word))}"
+
+
+def _report(instance: str, name: str, check, *args) -> VerificationReport:
+    """The report `name` on `instance` of what `check(*args)` found wrong."""
+    try:
+        bad = check(*args)
+    except Exception as exc:
+        witness = repr(getattr(exc, "witness", None) or None)
+        bad = [("internal_fault", type(exc).__name__, str(exc), witness)]
+    return VerificationReport(instance, name, not bad, bad[:3] or None)
+
+
+def _sides(a_tag, a, b_tag, b):
+    """Each point of one set missing from the other, tagged with its side."""
+    if a == b:  # the common case, and cheaper than two differences
+        return []
+    return [(a_tag, v) for v in sorted(a - b)] + [(b_tag, v) for v in sorted(b - a)]
 
 
 def check_theorem_2_4(q: Quiver, word=None, strict: bool = False) -> VerificationReport:
     """Path-cone vectors equal move vectors, as plain or type-tagged sets."""
     if diagram_type(q.diagram) != "A":
         raise NotTypeAInstance("the path cone is a type A construction")
-    if word is None:
-        word = adapted_word(q)
     ar = arquiver.build_ar(q, word)
-    wd = wiring.build_wiring(word, q.diagram.n)
-    return _theorem_2_4(ar, wd, strict)
+    wd = wiring.build_wiring(ar.word, q.diagram.n)
+    return _report(_instance(ar), "moves_equal_path_cone", moves_equal_path_cone, ar, wd, strict)
 
 
-def _theorem_2_4(
-    ar: arquiver.ARQuiver, wd: wiring.WiringDiagram, strict: bool
-) -> VerificationReport:
+def moves_equal_path_cone(ar, wd, strict):
+    # the move vectors and the path vectors, tagged by type when strict
     moves = lusztig.move_vectors(ar, typed=strict)
-    cone = wiring.gp_cone(wd, typed=strict)
-    witness = None
-    if moves != cone:
-        witness = {"moves_only": sorted(moves - cone)[:3], "paths_only": sorted(cone - moves)[:3]}
-    return VerificationReport(
-        _instance(ar.quiver, ar.word), "moves_equal_path_cone", moves == cone, witness
-    )
+    return _sides("moves_only", moves, "paths_only", wiring.gp_cone(wd, typed=strict))
 
 
 def check_cone(diagram, word, normals, box: int) -> VerificationReport:
@@ -89,25 +101,26 @@ def check_cone(diagram, word, normals, box: int) -> VerificationReport:
     that closure too: every cone point accepted, every other point rejected.
     """
     word = tuple(word)
-    dim = len(word)
-    normals = sorted(set(tuple(v) for v in normals))
+    normals = [tuple(v) for v in normals]
+    if any(len(v) != len(word) for v in normals):
+        raise ValueError("dimension mismatch between word and normal")
+    instance = f"word {','.join(map(str, word))}"
+    return _report(instance, f"string_cone_box{box}", string_cone, diagram, word, normals, box)
+
+
+def string_cone(diagram, word, normals, box):
+    # the cone's points against the raising closure of zero; only when they
+    # agree, the lowering oracle's strings against that closure
     generated = strings.generate_strings(diagram, word, box)
-    cone = strings.cone_points_pruned(normals, box, dim)
-    witness = None
-    passed = generated == cone
-    if not passed:
-        witness = {"cone_only": sorted(cone - generated)[:3],
-                   "generated_only": sorted(generated - cone)[:3]}
-    else:
-        filtered = strings.strings_in_box(diagram, word, box)
-        if filtered != generated:
-            passed = False
-            witness = {
-                "filter_only": sorted(filtered - generated)[:3],
-                "generated_only": sorted(generated - filtered)[:3],
-            }
-    name = f"string_cone_box{box}"
-    return VerificationReport(f"word {','.join(map(str, word))}", name, passed, witness)
+    cone = strings.cone_points_pruned(sorted(set(normals)), box, len(word))
+    return (_sides("cone_only", cone, "generated_only", generated)
+            or _sides("filter_only", strings.strings_in_box(diagram, word, box),
+                      "filter_rejected", generated))
+
+
+def moves_define_cone(ar, box):
+    # the cone comparison on the inequalities the move vectors give
+    return string_cone(ar.quiver.diagram, ar.word, lusztig.move_vectors(ar), box)
 
 
 def require_condition_L(ar: arquiver.ARQuiver) -> None:
@@ -124,12 +137,9 @@ def check_conjecture(q: Quiver, word=None, box: int = 2) -> VerificationReport:
 
     This certifies equality over [0..box]^N only; nothing beyond the box.
     """
-    if word is None:
-        word = adapted_word(q)
     ar = arquiver.build_ar(q, word)
     require_condition_L(ar)
-    report = check_cone(q.diagram, word, lusztig.move_vectors(ar), box)
-    return report._replace(instance=_instance(q, word), check=f"moves_define_cone_box{box}")
+    return _report(_instance(ar), f"moves_define_cone_box{box}", moves_define_cone, ar, box)
 
 
 def structural_reports(q: Quiver, word=None) -> list[VerificationReport]:
@@ -137,8 +147,6 @@ def structural_reports(q: Quiver, word=None) -> list[VerificationReport]:
     `STRUCTURAL_CHECKS` that applies to it.  The crystal checks presume the
     multiplicity-one property and are skipped where it fails (they would test a
     vacuous hypothesis); type A gets the wiring comparisons."""
-    if word is None:
-        word = adapted_word(q)
     return _structural(arquiver.build_ar(q, word))
 
 
@@ -331,9 +339,8 @@ def _structural(
     ar: arquiver.ARQuiver, wd: wiring.WiringDiagram | None = None
 ) -> list[VerificationReport]:
     """`structural_reports` on a built translation quiver; in type A, `wd` is
-    the wiring diagram of the same word, built here when not given.  A check
-    that raises fails with an `internal_fault` witness."""
-    inst = _instance(ar.quiver, ar.word)
+    the wiring diagram of the same word, built here when not given."""
+    inst = _instance(ar)
     type_a = diagram_type(ar.quiver.diagram) == "A"
     if type_a and wd is None:
         wd = wiring.build_wiring(ar.word, ar.n)
@@ -345,14 +352,7 @@ def _structural(
     for group, checks in STRUCTURAL_CHECKS:
         for extra in runs[group]:
             suffix = "".join(f"_type{i}" for i in extra)
-            for check in checks:
-                try:
-                    bad = check(ar, wd, *extra)
-                except Exception as exc:
-                    witness = repr(getattr(exc, "witness", None) or None)
-                    bad = [("internal_fault", type(exc).__name__, str(exc), witness)]
-                name = check.__name__ + suffix
-                out.append(VerificationReport(inst, name, not bad, bad[:3] or None))
+            out.extend(_report(inst, c.__name__ + suffix, c, ar, wd, *extra) for c in checks)
     return out
 
 
@@ -380,13 +380,13 @@ def run_suite(max_rank: int, box: int) -> SuiteSummary:
     """Sweep every type A orientation up to the rank, running all checks."""
     summary = SuiteSummary()
     for n in range(1, max_rank + 1):
-        d = path_diagram(n)
-        for q in all_orientations(d):
-            word = adapted_word(q)
-            ar = arquiver.build_ar(q, word)
-            wd = wiring.build_wiring(word, n)
-            summary.reports.append(_theorem_2_4(ar, wd, strict=True))
-            cone = check_cone(d, word, lusztig.move_vectors(ar), box)
-            summary.reports.append(cone._replace(instance=_instance(q, word)))
+        for q in all_orientations(path_diagram(n)):
+            ar = arquiver.build_ar(q)
+            wd = wiring.build_wiring(ar.word, n)
+            inst = _instance(ar)
+            summary.reports.append(
+                _report(inst, "moves_equal_path_cone", moves_equal_path_cone, ar, wd, True))
+            summary.reports.append(
+                _report(inst, f"string_cone_box{box}", moves_define_cone, ar, box))
             summary.reports.extend(_structural(ar, wd))
     return summary

@@ -368,6 +368,7 @@ REFUSED = [
     "crystal --quiver 3>1,3>2,3>4 --param lusztig --depth 2",
     "roots --quiver 2>1 --word a,b",
     "strings --quiver 2>1 --box x",
+    "roots --quiver 1000000000>1",
 ]
 
 

@@ -51,6 +51,14 @@ def test_parse_errors():
         parse_quiver("0>1")
 
 
+def test_a_large_vertex_label_is_refused_at_once():
+    # the gap is found from the number of vertices present, and the message
+    # names only the first few missing ones
+    with pytest.raises(QuiverParseError, match=r"first \[2, 3, 4\]") as err:
+        parse_quiver("1000000000>1")
+    assert len(str(err.value)) < 80
+
+
 @pytest.mark.parametrize(
     "arrows", [[(1, 2)], [(1, 2), (3, 2), (2, 3)], [(1, 2), (1, 3)]],
     ids=["missing-edge", "edge-twice", "not-an-edge"],

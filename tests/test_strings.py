@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 
 import pytest
@@ -89,6 +90,27 @@ def test_membership_examples():
     assert is_string(D2, W2, (1, 1, 0))
     for m in range(3):
         assert is_string(D2, W2, (0, 0, m))
+
+
+def test_membership_far_from_zero_at_the_default_recursion_limit():
+    # each lowering step is one step of the search, not one stack frame, so
+    # points whose entries sum to thousands are answered like small ones
+    assert sys.getrecursionlimit() <= 1000
+    assert is_string(path_diagram(1), (1,), (5000,))
+    normals = move_vectors(build_ar(parse_quiver("2>1"), W2))
+    points = [(0, 3000, 3000), (1, 3000, 3000), (3000, 3000, 0), (3000, 0, 3000)]
+    assert [is_string(D2, W2, a) for a in points] == [True, True, True, False]
+    assert [in_cone(a, normals) for a in points] == [True, True, True, False]
+
+
+@pytest.mark.parametrize("spec", ["2>1", "4>3,3>1,3>2"])
+def test_kernels_agree_that_a_negative_box_has_no_points(spec):
+    q = parse_quiver(spec)
+    word = adapted_word(q)
+    normals = move_vectors(build_ar(q, word))
+    assert generate_strings(q.diagram, word, -1) == frozenset()
+    assert strings_in_box(q.diagram, word, -1) == frozenset()
+    assert cone_points_pruned(normals, -1, len(word)) == frozenset()
 
 
 def test_generate_strings_box_two_is_the_known_cone():

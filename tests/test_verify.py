@@ -60,7 +60,60 @@ def test_cone_reports_witness_when_normal_dropped(a3):
     pruned = [v for v in full if v != (0, 0, -1, 1, 1, 0)]
     r = check_cone(q.diagram, word, pruned, 2)
     assert not r.passed
-    assert r.witness is not None
+    assert r.witness == [
+        ("cone_only", (0, 0, 1, 0, 0, 0)),
+        ("cone_only", (0, 0, 1, 0, 0, 1)),
+        ("cone_only", (0, 0, 1, 0, 0, 2)),
+    ]
+
+
+def test_cone_witness_tags_name_the_failing_comparison(monkeypatch, a3):
+    # an extra inequality a_1 <= 0 cuts generated strings out of the cone; an
+    # oracle that drops one generated string and adds one point fails the
+    # second comparison, whose tags differ from the first's
+    q, word = a3
+    normals = gp_cone(build_wiring(word, 3))
+    cut = check_cone(q.diagram, word, normals | {(-1, 0, 0, 0, 0, 0)}, 1)
+    assert cut.witness == [
+        ("generated_only", (1, 0, 1, 0, 1, 0)),
+        ("generated_only", (1, 0, 1, 0, 1, 1)),
+        ("generated_only", (1, 0, 1, 1, 1, 0)),
+    ]
+    original = verify.strings.strings_in_box
+
+    def oracle(*args):
+        return original(*args) - {(0, 0, 0, 0, 0, 1)} | {(1, 1, 1, 1, 1, 1)}
+
+    monkeypatch.setattr(verify.strings, "strings_in_box", oracle)
+    r = check_cone(q.diagram, word, normals, 1)
+    assert r.witness == [
+        ("filter_only", (1, 1, 1, 1, 1, 1)), ("filter_rejected", (0, 0, 0, 0, 0, 1))
+    ]
+
+
+def test_theorem_witness_tags_name_each_side(monkeypatch, a3):
+    original = verify.wiring.gp_cone
+    extra, dropped = (1, 1, 1, 1, 1, 1), (0, 0, -1, 1, 1, 0)
+    monkeypatch.setattr(verify.wiring, "gp_cone", lambda wd, typed: original(wd) | {extra})
+    assert check_theorem_2_4(*a3).witness == [("paths_only", extra)]
+    monkeypatch.setattr(verify.wiring, "gp_cone", lambda wd, typed: original(wd) - {dropped})
+    assert check_theorem_2_4(*a3).witness == [("moves_only", dropped)]
+
+
+def test_cone_refuses_a_normal_of_the_wrong_length_before_any_report(monkeypatch, a3):
+    q, word = a3
+    made = []
+    monkeypatch.setattr(verify, "_report", lambda *args: made.append(args))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        check_cone(q.diagram, word, [(1, 0, 0)], 1)
+    assert made == []
+
+
+def test_negative_box_reports_pass(a2):
+    # [0..box]^N has no points, so every side of the cone comparison is empty
+    q, word = a2
+    assert check_cone(q.diagram, word, move_vectors(build_ar(q, word)), -1).passed
+    assert check_conjecture(q, box=-1).passed
 
 
 def test_conjecture_d4(d4):
@@ -225,6 +278,37 @@ def test_a_raising_check_fails_under_its_own_name(monkeypatch, spec, count):
         "internal_fault", "InvariantViolation", "raising gave a negative multiplicity"
     )
     assert witness.startswith("{'type': ")
+
+
+def test_a_broken_move_table_fails_its_reports_and_the_sweep_completes(monkeypatch):
+    # A4 2>1,2>3,4>3 with 5 <= 8 cut out of the down-set of 8: the move table
+    # of type 4 raises, and each report that reads it fails under its own name
+    # while the sweep makes every other report
+    original = verify.arquiver.build_ar
+
+    def build(q, word=None):
+        ar = original(q, word)
+        if q.arrows != ((2, 1), (2, 3), (4, 3)):
+            return ar
+        down = list(ar.down)
+        down[7] &= ~(1 << 5)
+        return ar._replace(down=tuple(down), cache={"hom": ar.hom_table()})
+
+    monkeypatch.setattr(verify.arquiver, "build_ar", build)
+    summary = run_suite(4, 0)
+    assert len(summary.reports) == 523
+    failed = {r.check: r.witness for r in summary.failures}
+    instance = "quiver 2>1,2>3,4>3 word 1,3,2,1,4,3,2,1,4,3"
+    assert {r.instance for r in summary.failures} == {instance}
+    assert set(failed) == {
+        "moves_equal_path_cone", "string_cone_box0", "move_weight_increment",
+        "raising_witness", "grid_order_type4", "path_antichain_bijection_type4",
+    }
+    for name in ("moves_equal_path_cone", "string_cone_box0"):
+        ((kind, exc, message, witness),) = failed[name]
+        assert (kind, exc) == ("internal_fault", "InvariantViolation")
+        assert message == "ideal minus a maximal element is no antichain's ideal"
+        assert witness == "{'type': 4, 'antichain': (8,), 'removed': 8}"
 
 
 def test_limiting_path_reports_its_crossings(monkeypatch, a3):
