@@ -71,6 +71,8 @@ MUTANTS = [
      ["string_cone_box1"]),
     ("cone-sum-not-taken-back", "strings.py", "partial[t] -= c * v", "partial[t] -= 0",
      ["string_cone_box1"]),
+    ("cone-code-step-unweighted", "strings.py", "code + v * w", "code + v",
+     ["string_cone_box1"]),
 ]
 
 SWEEP = r"""

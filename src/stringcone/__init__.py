@@ -46,6 +46,7 @@ from .strings import (  # noqa: F401
     generate_strings,
     in_cone,
     is_string,
+    points,
     pretty_inequality,
     string_e,
     string_f,

@@ -227,7 +227,8 @@ def _dispatch(args) -> tuple[str, int]:
         return "\n".join(strings.pretty_inequality(vec) for _, vec in rows) + "\n", 0
 
     if args.command == "strings":
-        found = sorted(strings.generate_strings(q.diagram, word, args.box))
+        codes = strings.generate_strings(q.diagram, word, args.box)
+        found = strings.points(codes, len(word), args.box)
         payload = {"word": list(word), "box": args.box, "count": len(found),
                    "strings": [list(a) for a in found]}
         return _json_text(payload), 0

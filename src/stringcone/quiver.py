@@ -29,6 +29,11 @@ class QuiverParseError(ValueError):
     """Malformed quiver specification text."""
 
 
+# the most digits a vertex label may have; a longer one is refused before it is
+# read as a number (any label past the number of vertices is a gap anyway)
+MAX_LABEL_DIGITS = 12
+
+
 class NotAdapted(ValueError):
     """The word is not adapted to the quiver."""
 
@@ -56,8 +61,10 @@ def parse_quiver(text: str) -> Quiver:
     arrows = []
     for token in spec.split(","):
         parts = token.split(">")
-        if len(parts) != 2 or not parts[0].isdigit() or not parts[1].isdigit():
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
             raise QuiverParseError(f"bad arrow token {token!r}, expected 'a>b'")
+        if max(map(len, parts)) > MAX_LABEL_DIGITS:
+            raise QuiverParseError(f"a vertex label has more than {MAX_LABEL_DIGITS} digits")
         a, b = int(parts[0]), int(parts[1])
         if a < 1 or b < 1:
             raise QuiverParseError(f"vertices must be positive in token {token!r}")

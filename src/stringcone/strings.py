@@ -1,7 +1,13 @@
 """String parametrization: raising/lowering operators, the embedding membership
-test, brute-force string-set generation, and integer cone point utilities."""
+test, brute-force string-set generation, and integer cone point utilities.
+
+The three box kernels (`generate_strings`, `strings_in_box`,
+`cone_points_pruned`) return the integer codes of their points (see
+`_weights`); `points` is the one decoder."""
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .cartan import DynkinDiagram, cartan_matrix
 from .crystal import CrystalGraph, bfs_crystal
@@ -11,16 +17,22 @@ class LetterAbsent(ValueError):
     """No position of the word carries the requested letter."""
 
 
-def _layout(d: DynkinDiagram, word):
-    """Positions of each letter (letters sorted, positions ascending), and for
-    each position j the pairs (k, c_{i_j, i_k}) with k > j and a nonzero entry."""
+@lru_cache(maxsize=16)
+def _layout(d: DynkinDiagram, word: tuple[int, ...]):
+    """The positions of each letter (one tuple per letter, letters ascending,
+    positions ascending), and for each position j the pairs (k, c_{i_j, i_k})
+    with k > j and a nonzero entry.  Both are tuples, built once per (diagram,
+    word) and shared by every caller: both searches of a cone check, and every
+    point of an is_string scan."""
     cm = cartan_matrix(d)
-    positions = {i: [k for k, letter in enumerate(word) if letter == i] for i in sorted(set(word))}
-    rows = [
-        [(k, cm[ij - 1][ik - 1]) for k, ik in enumerate(word) if k > j and cm[ij - 1][ik - 1]]
+    groups = tuple(
+        tuple(k for k, letter in enumerate(word) if letter == i) for i in sorted(set(word))
+    )
+    rows = tuple(
+        tuple((k, cm[ij - 1][ik - 1]) for k, ik in enumerate(word) if k > j and cm[ij - 1][ik - 1])
         for j, ij in enumerate(word)
-    ]
-    return positions, rows
+    )
+    return groups, rows
 
 
 def _bump(r: list[int], row, j: int, delta: int) -> list[int]:
@@ -60,11 +72,11 @@ def string_r(d: DynkinDiagram, word, a) -> tuple[int, ...]:
 
 def _max_position(d: DynkinDiagram, word, i: int, a, last: bool) -> tuple[int, int]:
     """The first (or last) position of letter i where r is maximal, and that maximum."""
-    positions, rows = _layout(d, tuple(word))
-    if i not in positions:
+    word = tuple(word)
+    ps = [k for k, letter in enumerate(word) if letter == i]
+    if not ps:
         raise LetterAbsent(f"letter {i} does not occur in the word")
-    ps = positions[i]
-    r = _r_vector(rows, a)
+    r = _r_vector(_layout(d, word)[1], a)
     k = _argmax(r, reversed(ps) if last else ps)
     return k, r[k]
 
@@ -98,7 +110,7 @@ def is_string(d: DynkinDiagram, word, a) -> bool:
     """
     word = tuple(word)
     a = tuple(a)
-    positions, rows = _layout(d, word)
+    groups, rows = _layout(d, word)
     r = _r_vector(rows, a)
     if any(x < 0 for x in a):
         return False
@@ -110,7 +122,7 @@ def is_string(d: DynkinDiagram, word, a) -> bool:
         if v == zero:
             return True
         # pushed last letter first, so the first letter's lowering is searched first
-        for ps in reversed(positions.values()):
+        for ps in reversed(groups):
             k = _argmax(r, ps)
             if v[k]:
                 u = _shift(v, k, -1)
@@ -127,8 +139,9 @@ def _weights(n: int, box: int) -> list[int]:
     return [(box + 1) ** k for k in range(n)]
 
 
-def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[tuple[int, ...]]:
-    """The points of [0..box]^N that is_string accepts, searched upward from zero.
+def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[int]:
+    """The codes (see `_weights`) of the points of [0..box]^N that is_string
+    accepts, searched upward from zero.
 
     A nonzero point b is a string iff some lowering of b is defined and lands on
     a string, and a lowering that subtracts e_k is b's first maximum of r among
@@ -140,76 +153,94 @@ def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[tuple[int, ...
     fixed step d_p to each r_p, so k is the first maximum of r(b) iff
     r(a)_p + d_p - d_k + 1 <= r(a)_k at each earlier position p of the letter
     and r(a)_p + d_p - d_k <= r(a)_k at each later one; `ties[k]` holds these
-    (p, offset) pairs.  An accepted b is looked up by its integer code (see
-    `_weights`) among the codes found so far, and only a new b is built and its
-    r bumped.  The work is |strings| * N, not the (box+1)^N of a scan.
+    (p, offset) pairs.  Each point of the search is its code and one list, r in
+    slots 0..N-1 and a in slots N..2N-1; an accepted b is looked up by its code
+    among the codes found so far, and only a new b gets a list: a copy with r's
+    row bumped and slot N+k raised.  The work is |strings| * N, not the
+    (box+1)^N of a scan.
     """
     if box < 0:
         return frozenset()  # [0..box]^N has no points
     word = tuple(word)
-    positions, rows = _layout(d, word)
-    ties = []
-    for k, letter in enumerate(word):
-        step = _bump([0] * len(word), rows[k], k, 1)
-        ties.append(
-            [(p, step[p] - step[k] + (1 if p < k else 0)) for p in positions[letter] if p != k]
-        )
-    weight = _weights(len(word), box)
-    zero = (0,) * len(word)
+    n = len(word)
+    groups, rows = _layout(d, word)
+    ties = [None] * n
+    for ps in groups:
+        for k in ps:
+            step = _bump([0] * n, rows[k], k, 1)
+            ties[k] = [(p, step[p] - step[k] + (1 if p < k else 0)) for p in ps if p != k]
+    weight = _weights(n, box)
     codes = {0}
-    found = [zero]
-    stack = [(0, zero, [0] * len(word))]
+    stack = [(0, [0] * (2 * n))]
     while stack:
-        code, a, r = stack.pop()
+        code, s = stack.pop()
         for k, tie in enumerate(ties):
-            if a[k] < box:
-                top = r[k]
+            if s[n + k] < box:
+                top = s[k]
                 for p, offset in tie:
-                    if r[p] + offset > top:
+                    if s[p] + offset > top:
                         break
                 else:
                     c = code + weight[k]
                     if c not in codes:
                         codes.add(c)
-                        b = a[:k] + (a[k] + 1,) + a[k + 1:]
-                        found.append(b)
-                        stack.append((c, b, _bump(r.copy(), rows[k], k, 1)))
-    del codes  # before the frozenset is built, so the two never coexist
-    return frozenset(found)
+                        t = s.copy()
+                        t[n + k] += 1
+                        stack.append((c, _bump(t, rows[k], k, 1)))
+    return frozenset(codes)
 
 
-def generate_strings(d: DynkinDiagram, word, box: int) -> frozenset[tuple[int, ...]]:
-    """Close the zero vector under all raising operators, pruned to the box.
+def generate_strings(d: DynkinDiagram, word, box: int) -> frozenset[int]:
+    """The codes (see `_weights`) of the closure of the zero vector under all
+    raising operators, pruned to the box.
 
     Pruning is sound: a raising step only increments one coordinate, so every
-    in-box string is reached through intermediates that stay in the box.  A
-    raised point is looked up by its integer code (see `_weights`) among the
-    codes reached so far, and only a new one is built and its r bumped.
+    in-box string is reached through intermediates that stay in the box.  Each
+    point of the search is its code and one list, r in slots 0..N-1 and a in
+    slots N..2N-1; a raised point is looked up by its code among the codes
+    reached so far, and only a new one gets a list: a copy with r's row bumped
+    and slot N+k raised.
     """
     if box < 0:
         return frozenset()  # [0..box]^N has no points
     word = tuple(word)
-    positions, rows = _layout(d, word)
-    last_first = [ps[::-1] for ps in positions.values()]
-    weight = _weights(len(word), box)
-    zero = (0,) * len(word)
+    n = len(word)
+    groups, rows = _layout(d, word)
+    last_first = [ps[::-1] for ps in groups]
+    weight = _weights(n, box)
     codes = {0}
-    found = [zero]
-    stack = [(0, zero, [0] * len(word))]
+    stack = [(0, [0] * (2 * n))]
     while stack:
-        code, a, r = stack.pop()
-        at = r.__getitem__
+        code, s = stack.pop()
+        at = s.__getitem__
         for ps in last_first:
             k = max(ps, key=at)  # the raising rule: the last maximum of r(a)
-            if a[k] < box:
+            if s[n + k] < box:
                 c = code + weight[k]
                 if c not in codes:
                     codes.add(c)
-                    b = a[:k] + (a[k] + 1,) + a[k + 1:]
-                    found.append(b)
-                    stack.append((c, b, _bump(r.copy(), rows[k], k, 1)))
-    del codes  # before the frozenset is built, so the two never coexist
-    return frozenset(found)
+                    t = s.copy()
+                    t[n + k] += 1
+                    stack.append((c, _bump(t, rows[k], k, 1)))
+    return frozenset(codes)
+
+
+def points(codes, n: int, box: int) -> list[tuple[int, ...]]:
+    """The points of [0..box]^n with the given codes (see `_weights`), sorted:
+    the one inverse of the code, read digit by digit in base box+1."""
+    base = box + 1
+    out = []
+    for code in codes:
+        a = []
+        rest = code
+        for _ in range(n):
+            rest, x = divmod(rest, base)
+            a.append(x)
+        if rest:
+            raise ValueError(f"code {code} is no point of [0..{box}]^{n}")
+        out.append(tuple(a))
+    out.sort()
+    return out
 
 
 def string_crystal(d: DynkinDiagram, word, depth: int) -> CrystalGraph:
@@ -229,8 +260,9 @@ def in_cone(a, normals) -> bool:
     return True
 
 
-def cone_points_pruned(normals, box: int, dim: int) -> frozenset[tuple[int, ...]]:
-    """Integer points of the box [0..box]^dim satisfying every inequality.
+def cone_points_pruned(normals, box: int, dim: int) -> frozenset[int]:
+    """The codes (see `_weights`) of the integer points of the box [0..box]^dim
+    satisfying every inequality.
 
     A coordinate search.  Each nonzero normal is kept as its support, grouped
     by its last supporting coordinate k with c_k apart.  Once x_0..x_{k-1} are
@@ -240,7 +272,8 @@ def cone_points_pruned(normals, box: int, dim: int) -> frozenset[tuple[int, ...]
     Each normal's partial is a running sum: setting x_j adds c_j * x_j to the
     partial of every normal with j in its support before k, and backtracking
     takes it off again.  Each node reads its bounds from those sums, stops as
-    soon as they cross, and loops over the values between them.
+    soon as they cross, and loops over the values between them, carrying the
+    running code of x_0..x_{k-1}; each leaf emits its code.
     """
     normals = [tuple(v) for v in normals]
     for normal in normals:
@@ -260,12 +293,12 @@ def cone_points_pruned(normals, box: int, dim: int) -> frozenset[tuple[int, ...]
             for j, c in support:
                 terms[j].append((len(partial), c))
             partial.append(0)
-    out: list[tuple[int, ...]] = []
-    point = [0] * dim
+    weight = _weights(dim, box)
+    out: list[int] = []
 
-    def walk(k: int) -> None:
+    def walk(k: int, code: int) -> None:
         if k == dim:
-            out.append(tuple(point))
+            out.append(code)
             return
         lo, hi = 0, box
         for t, c_k in bounds[k]:
@@ -275,15 +308,15 @@ def cone_points_pruned(normals, box: int, dim: int) -> frozenset[tuple[int, ...]
                 hi = min(hi, partial[t] // -c_k)
             if lo > hi:
                 return
+        w = weight[k]
         for v in range(lo, hi + 1):
-            point[k] = v
             for t, c in terms[k]:
                 partial[t] += c * v
-            walk(k + 1)
+            walk(k + 1, code + v * w)
             for t, c in terms[k]:
                 partial[t] -= c * v
 
-    walk(0)
+    walk(0, 0)
     return frozenset(out)
 
 

@@ -71,11 +71,12 @@ def _report(instance: str, name: str, check, *args) -> VerificationReport:
     return VerificationReport(instance, name, not bad, bad[:3] or None)
 
 
-def _sides(a_tag, a, b_tag, b):
-    """Each point of one set missing from the other, tagged with its side."""
+def _sides(a_tag, a, b_tag, b, order=sorted):
+    """Each point of one set missing from the other, tagged with its side; each
+    difference is listed as `order` gives it."""
     if a == b:  # the common case, and cheaper than two differences
         return []
-    return [(a_tag, v) for v in sorted(a - b)] + [(b_tag, v) for v in sorted(b - a)]
+    return [(a_tag, v) for v in order(a - b)] + [(b_tag, v) for v in order(b - a)]
 
 
 def check_theorem_2_4(q: Quiver, word=None, strict: bool = False) -> VerificationReport:
@@ -110,12 +111,17 @@ def check_cone(diagram, word, normals, box: int) -> VerificationReport:
 
 def string_cone(diagram, word, normals, box):
     # the cone's points against the raising closure of zero; only when they
-    # agree, the lowering oracle's strings against that closure
+    # agree, the lowering oracle's strings against that closure.  The kernels
+    # give point codes, so the sets are compared as codes and only their
+    # differences are decoded, sorted by point
+    def decoded(codes):
+        return strings.points(codes, len(word), box)
+
     generated = strings.generate_strings(diagram, word, box)
     cone = strings.cone_points_pruned(sorted(set(normals)), box, len(word))
-    return (_sides("cone_only", cone, "generated_only", generated)
+    return (_sides("cone_only", cone, "generated_only", generated, decoded)
             or _sides("filter_only", strings.strings_in_box(diagram, word, box),
-                      "filter_rejected", generated))
+                      "filter_rejected", generated, decoded))
 
 
 def moves_define_cone(ar, box):

@@ -24,6 +24,12 @@ from stringcone.quiver import quiver, quiver_spec, ringel_matrix
 from stringcone.wiring import GPPath
 
 
+def point_code(a, box: int) -> int:
+    """The integer code of a point of [0..box]^n: its entries as the digits of
+    a base-(box+1) number, the first entry least significant."""
+    return sum(x * (box + 1) ** k for k, x in enumerate(a))
+
+
 def cone_points(normals, box: int, dim: int) -> frozenset[tuple[int, ...]]:
     """Integer points of the box [0..box]^dim satisfying every inequality, by a full scan."""
     normals = [tuple(v) for v in normals]

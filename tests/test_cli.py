@@ -375,3 +375,8 @@ REFUSED = [
 @pytest.mark.parametrize("argv", REFUSED)
 def test_unsupported_option_exits_two(capsys, argv):
     assert run(capsys, *argv.split())[:2] == (2, "")
+
+
+@pytest.mark.parametrize("label", ["9" * 5000, "\u00b2"], ids=["5000-digits", "superscript-two"])
+def test_a_label_int_cannot_read_exits_two(capsys, label):
+    assert run(capsys, "roots", "--quiver", f"{label}>1")[:2] == (2, "")

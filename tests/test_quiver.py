@@ -60,6 +60,25 @@ def test_a_large_vertex_label_is_refused_at_once():
 
 
 @pytest.mark.parametrize(
+    "spec, match",
+    [
+        ("9" * 5000 + ">1", "more than 12 digits"),
+        ("1>1" + "0" * 12, "more than 12 digits"),
+        ("1" + "0" * 11 + ">1", "vertex gap"),
+        ("\u00b2>1", "bad arrow token"),
+    ],
+    ids=["5000-digits", "13-digits", "12-digits", "superscript-two"],
+)
+def test_a_label_is_refused_before_int_could_fail_on_it(spec, match):
+    # int() cannot read a label past 4,300 digits or a superscript digit, and
+    # would raise a plain ValueError; a 12-digit label is still read, and
+    # refused as a gap
+    with pytest.raises(QuiverParseError, match=match) as err:
+        parse_quiver(spec)
+    assert len(str(err.value)) < 80
+
+
+@pytest.mark.parametrize(
     "arrows", [[(1, 2)], [(1, 2), (3, 2), (2, 3)], [(1, 2), (1, 3)]],
     ids=["missing-edge", "edge-twice", "not-an-edge"],
 )

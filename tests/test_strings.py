@@ -10,11 +10,13 @@ from stringcone.arquiver import build_ar
 from stringcone.quiver import adapted_word, all_orientations, condition_L, parse_quiver
 from stringcone.strings import (
     LetterAbsent,
+    _layout,
     cone_points_pruned,
     generate_strings,
     in_cone,
     inequalities_json,
     is_string,
+    points,
     pretty_inequality,
     string_crystal,
     string_e,
@@ -23,10 +25,25 @@ from stringcone.strings import (
     strings_in_box,
 )
 
-from reference import cone_points, same_labelled_graph, string_weight
+from reference import cone_points, point_code, same_labelled_graph, string_weight
 
 D2 = path_diagram(2)
 W2 = (1, 2, 1)
+
+
+# the three box kernels give point codes; these decode them to points
+
+
+def generated_points(d, word, box):
+    return frozenset(points(generate_strings(d, word, box), len(word), box))
+
+
+def filtered_points(d, word, box):
+    return frozenset(points(strings_in_box(d, word, box), len(word), box))
+
+
+def pruned_points(normals, box, dim):
+    return frozenset(points(cone_points_pruned(normals, box, dim), dim, box))
 
 
 def test_r_vector_examples():
@@ -111,10 +128,39 @@ def test_kernels_agree_that_a_negative_box_has_no_points(spec):
     assert generate_strings(q.diagram, word, -1) == frozenset()
     assert strings_in_box(q.diagram, word, -1) == frozenset()
     assert cone_points_pruned(normals, -1, len(word)) == frozenset()
+    assert points(frozenset(), len(word), -1) == []
+
+
+@pytest.mark.parametrize("n, box", [(n, box) for n in range(5) for box in range(4)])
+def test_points_inverts_the_code(n, box):
+    # every point of the box, box 0 and codes whose digits carry included: the
+    # codes are 0..(box+1)^n - 1, one per point, and each decodes to its point
+    box_points = list(product(range(box + 1), repeat=n))
+    codes = [point_code(a, box) for a in box_points]
+    assert sorted(codes) == list(range((box + 1) ** n))
+    for a, code in zip(box_points, codes):
+        assert points([code], n, box) == [a]
+    # decoded points come sorted by point, whatever the order of the codes
+    assert points(sorted(codes, key=lambda c: -c), n, box) == sorted(box_points)
+
+
+@pytest.mark.parametrize("code, n, box", [(-1, 4, 2), (81, 4, 2), (1, 3, 0)])
+def test_points_refuses_a_code_outside_the_box(code, n, box):
+    with pytest.raises(ValueError, match=f"code {code} is no point"):
+        points([code], n, box)
+
+
+def test_layout_is_built_once_per_diagram_and_word():
+    # both searches of a cone check, and every point of an is_string scan,
+    # read one layout; its parts are tuples, so no reader can change them
+    assert _layout(path_diagram(2), (1, 2, 1)) is _layout(D2, W2)
+    groups, rows = _layout(D2, W2)
+    assert groups == ((0, 2), (1,))
+    assert rows == (((1, -1), (2, 2)), ((2, -1),), ())
 
 
 def test_generate_strings_box_two_is_the_known_cone():
-    got = generate_strings(D2, W2, 2)
+    got = generated_points(D2, W2, 2)
     expected = {
         (a1, a2, a3)
         for a1 in range(3)
@@ -127,19 +173,19 @@ def test_generate_strings_box_two_is_the_known_cone():
 
 
 def test_generate_strings_box_zero():
-    assert generate_strings(D2, W2, 0) == frozenset({(0, 0, 0)})
+    assert generated_points(D2, W2, 0) == frozenset({(0, 0, 0)})
 
 
 def test_box_filter_matches_generation_a3(a3):
     q, word = a3
     d = q.diagram
-    assert strings_in_box(d, word, 1) == generate_strings(d, word, 1)
+    assert filtered_points(d, word, 1) == generated_points(d, word, 1)
     ar = build_ar(q)
     normals = move_vectors(ar)
     box_points = frozenset(
         a for a in product(range(2), repeat=6) if in_cone(a, normals)
     )
-    assert generate_strings(d, word, 1) == box_points
+    assert generated_points(d, word, 1) == box_points
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -148,8 +194,8 @@ def test_oracle_agreement_type_a(n):
     box = 3 if n <= 3 else 2
     for q in all_orientations(d):
         word = adapted_word(q)
-        generated = generate_strings(d, word, box)
-        assert strings_in_box(d, word, box) == generated
+        generated = generated_points(d, word, box)
+        assert filtered_points(d, word, box) == generated
         if (box + 1) ** len(word) <= 5000:
             naive = frozenset(
                 a
@@ -173,7 +219,7 @@ def test_oracle_agreement_d4(d4):
     q, word = d4
     d = q.diagram
     for box in (1, 2, 3):
-        assert strings_in_box(d, word, box) == generate_strings(d, word, box)
+        assert filtered_points(d, word, box) == generated_points(d, word, box)
 
 
 def test_point_oracle_matches_box_scan_d4(d4):
@@ -181,7 +227,7 @@ def test_point_oracle_matches_box_scan_d4(d4):
     d = q.diagram
     per_point = frozenset(a for a in product(range(2), repeat=len(word)) if is_string(d, word, a))
     assert len(per_point) < 2 ** len(word)
-    assert per_point == strings_in_box(d, word, 1)
+    assert per_point == filtered_points(d, word, 1)
 
 
 @pytest.mark.parametrize("n, box", [(n, box) for n in (1, 2, 3) for box in (3, 4)])
@@ -193,11 +239,11 @@ def test_kernels_where_code_digits_carry_type_a(n, box):
     d = path_diagram(n)
     for q in all_orientations(d):
         word = adapted_word(q)
-        generated = generate_strings(d, word, box)
-        assert strings_in_box(d, word, box) == generated
+        generated = generated_points(d, word, box)
+        assert filtered_points(d, word, box) == generated
         normals = move_vectors(build_ar(q))
         cone = cone_points(normals, box, len(word))
-        assert cone_points_pruned(normals, box, len(word)) == cone == generated
+        assert pruned_points(normals, box, len(word)) == cone == generated
         if n <= 2:
             box_points = product(range(box + 1), repeat=len(word))
             assert frozenset(a for a in box_points if is_string(d, word, a)) == generated
@@ -209,17 +255,17 @@ def test_kernels_where_code_digits_carry_d4(d4):
     # runs that scan at box 1)
     q, word = d4
     d = q.diagram
-    generated = generate_strings(d, word, 2)
-    assert strings_in_box(d, word, 2) == generated
+    generated = generated_points(d, word, 2)
+    assert filtered_points(d, word, 2) == generated
     normals = move_vectors(build_ar(q))
     cone = cone_points(normals, 2, len(word))
-    assert cone_points_pruned(normals, 2, len(word)) == cone == generated
+    assert pruned_points(normals, 2, len(word)) == cone == generated
 
 
 def test_every_generated_vertex_is_a_string(a3):
     q, word = a3
     d = q.diagram
-    for a in sorted(generate_strings(d, word, 2)):
+    for a in sorted(generated_points(d, word, 2)):
         assert is_string(d, word, a)
 
 
@@ -245,7 +291,7 @@ def test_lower_then_raise_d4(d4):
     # wherever f is defined on a string, it lands on a string and e undoes it
     q, word = d4
     d = q.diagram
-    generated = generate_strings(d, word, 2)
+    generated = generated_points(d, word, 2)
     lowered = 0
     for a in sorted(generated):
         for i in range(1, d.n + 1):
@@ -260,7 +306,7 @@ def test_lower_then_raise_d4(d4):
 def test_weight_increment(a3):
     q, word = a3
     d = q.diagram
-    for a in sorted(generate_strings(d, word, 1)):
+    for a in sorted(generated_points(d, word, 1)):
         for i in (1, 2, 3):
             up = string_e(d, word, i, a)
             diff = tuple(
@@ -292,7 +338,7 @@ def test_pruned_scan_matches_naive(data):
             max_size=4,
         )
     )
-    assert cone_points_pruned(normals, box, dim) == cone_points(normals, box, dim)
+    assert pruned_points(normals, box, dim) == cone_points(normals, box, dim)
 
 
 SMALL_2D = list(product(range(-3, 4), repeat=2))
@@ -312,7 +358,7 @@ def test_pruned_bounds_match_naive_exhaustively(normal_sets, dim):
     # per-coordinate ceiling and floor bounds is met at every box size
     for box in range(4):
         for normals in normal_sets:
-            assert cone_points_pruned(normals, box, dim) == cone_points(normals, box, dim), (
+            assert pruned_points(normals, box, dim) == cone_points(normals, box, dim), (
                 normals,
                 box,
             )

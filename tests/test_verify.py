@@ -22,6 +22,8 @@ from stringcone.verify import (
 )
 from stringcone.wiring import build_wiring, gp_cone, gp_paths, zones
 
+from reference import point_code
+
 
 def test_theorem_a2():
     r = check_theorem_2_4(parse_quiver("2>1"), (1, 2, 1))
@@ -79,10 +81,14 @@ def test_cone_witness_tags_name_the_failing_comparison(monkeypatch, a3):
         ("generated_only", (1, 0, 1, 0, 1, 1)),
         ("generated_only", (1, 0, 1, 1, 1, 0)),
     ]
+    # the kernels give point codes, and the witnesses come sorted by point,
+    # not by code
+    assert [point_code(a, 1) for _, a in cut.witness] == [21, 53, 29]
     original = verify.strings.strings_in_box
 
     def oracle(*args):
-        return original(*args) - {(0, 0, 0, 0, 0, 1)} | {(1, 1, 1, 1, 1, 1)}
+        dropped, added = point_code((0, 0, 0, 0, 0, 1), 1), point_code((1, 1, 1, 1, 1, 1), 1)
+        return original(*args) - {dropped} | {added}
 
     monkeypatch.setattr(verify.strings, "strings_in_box", oracle)
     r = check_cone(q.diagram, word, normals, 1)
