@@ -73,6 +73,8 @@ MUTANTS = [
      ["string_cone_box1"]),
     ("cone-code-step-unweighted", "strings.py", "code + v * w", "code + v",
      ["string_cone_box1"]),
+    ("reflect-wrong-row", "cartan.py", "-= sum(c * out[j] for j, c in support[i - 1])",
+     "-= sum(c * out[j] for j, c in support[i - 2])", "InvariantViolation"),
 ]
 
 SWEEP = r"""

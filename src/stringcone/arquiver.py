@@ -9,9 +9,9 @@ position's down-set in the path order, from the letters' last positions.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections import namedtuple
+from functools import cached_property
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .cartan import (
     InvariantViolation,
@@ -26,16 +26,15 @@ from .quiver import (
 )
 
 
-class ARQuiver(NamedTuple):
-    quiver: Quiver
-    word: tuple[int, ...]
-    roots: tuple[Vector, ...]
-    arrows: tuple[tuple[int, int], ...]
-    tau: dict[int, int]
-    position_by_root: dict[Vector, int]
-    simple_positions: tuple[int, ...]  # position of the simple root at i, index i-1
-    down: tuple[int, ...]  # index k-1: bit j for each j <= k
-    cache: dict
+class ARQuiver(namedtuple("ARQuiver", [
+    "quiver", "word", "roots", "arrows", "tau", "position_by_root",
+    "simple_positions",  # position of the simple root at i, index i-1
+    "down",  # index k-1: bit j for each j <= k
+])):
+    @cached_property
+    def cache(self) -> dict:
+        """Tables built on first use; a `_replace` copy starts with none."""
+        return {}
 
     @property
     def N(self) -> int:
@@ -118,7 +117,6 @@ def build_ar(q: Quiver, word=None) -> ARQuiver:
             position_by_root[simple_root(q.diagram, i)] for i in range(1, q.diagram.n + 1)
         ),
         down=tuple(down),
-        cache={},
     )
 
 
@@ -145,13 +143,10 @@ def _path_indicator(q: Quiver, i: int, forward: bool) -> Vector:
     return tuple(1 if v in seen else 0 for v in range(1, q.diagram.n + 1))
 
 
-class HammockGrid(NamedTuple):
+class HammockGrid(namedtuple("HammockGrid", "type_index left_segment right_segment cells")):
     """Type A only: the [i] x [n+1-i] grid carrying the hammock of type i."""
 
-    type_index: int
-    left_segment: tuple[int, ...]
-    right_segment: tuple[int, ...]
-    cells: Mapping[tuple[int, int], int]
+    __slots__ = ()
 
     @staticmethod
     def leq(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
@@ -163,11 +158,8 @@ def grid_A(ar: ARQuiver, i: int) -> HammockGrid:
 
     The cell (k, l) with 1 <= k <= i < l <= n+1 carries the root spanning the
     interval [j_k, j_l - 1] of the segmented cycle (j_1 .. j_i | j_{i+1} .. j_{n+1}).
-    Built once per translation quiver and type; the cells are a read-only mapping.
+    The cells are a read-only mapping.
     """
-    key = ("grid_A", i)
-    if key in ar.cache:
-        return ar.cache[key]
     q = ar.quiver
     if diagram_type(q.diagram) != "A":
         raise ValueError("hammock grids exist in type A only")
@@ -188,8 +180,7 @@ def grid_A(ar: ARQuiver, i: int) -> HammockGrid:
         raise InvariantViolation(
             "grid cells do not cover the hammock", {"type": i, "cells": cells}
         )
-    ar.cache[key] = HammockGrid(i, left, right, MappingProxyType(cells))
-    return ar.cache[key]
+    return HammockGrid(i, left, right, MappingProxyType(cells))
 
 
 def ar_dot(ar: ARQuiver) -> str:

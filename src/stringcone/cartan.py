@@ -7,8 +7,8 @@ basis; the two bases are never mixed implicitly.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 Vector = tuple[int, ...]
 
@@ -29,11 +29,10 @@ class InvariantViolation(RuntimeError):
         self.witness = witness
 
 
-class DynkinDiagram(NamedTuple):
+class DynkinDiagram(namedtuple("DynkinDiagram", "n edges")):
     """Tree on vertices 1..n, edges canonically sorted with smaller endpoint first."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def dynkin_diagram(n: int, edges) -> DynkinDiagram:
@@ -165,18 +164,19 @@ def pair_root_weight(root: Vector, weight: Vector) -> int:
 @lru_cache(maxsize=None)
 def positive_roots(d: DynkinDiagram) -> tuple[Vector, ...]:
     """All positive roots, sorted by height then lexicographically."""
-    found = {simple_root(d, i) for i in range(1, d.n + 1)}
+    n = d.n
+    expected = n * (n + 1) // 2 if diagram_type(d) == "A" else n * (n - 1)
+    found = {simple_root(d, i) for i in range(1, n + 1)}
     frontier = list(found)
-    while frontier:
+    # stop past the count, so a faulty reflection ends in the check below
+    while frontier and len(found) <= expected:
         v = frontier.pop()
-        for i in range(1, d.n + 1):
+        for i in range(1, n + 1):
             w = _reflect(d, (i,), v, "root")
             if all(x >= 0 for x in w) and w not in found:
                 found.add(w)
                 frontier.append(w)
     roots = sorted(found, key=lambda r: (root_height(r), r))
-    n = d.n
-    expected = n * (n + 1) // 2 if diagram_type(d) == "A" else n * (n - 1)
     if len(roots) != expected:
         raise InvariantViolation(
             "wrong number of positive roots", {"found": len(roots), "expected": expected}
@@ -242,7 +242,6 @@ def is_reduced_w0(d: DynkinDiagram, word) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def longest_word(d: DynkinDiagram) -> tuple[int, ...]:
     """A canonical reduced word for w0 (greedy smallest extendable letter)."""
     images = tuple(simple_root(d, j) for j in range(1, d.n + 1))

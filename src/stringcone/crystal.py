@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from collections import deque
-from typing import NamedTuple
+from collections import deque, namedtuple
 
 
-class CrystalGraph(NamedTuple):
-    source: tuple[int, ...]
-    vertices: frozenset[tuple[int, ...]]
-    edges: frozenset[tuple[tuple[int, ...], int, tuple[int, ...]]]
+class CrystalGraph(namedtuple("CrystalGraph", "source vertices edges")):
+    __slots__ = ()
 
 
 def bfs_crystal(source, types, step, depth: int) -> CrystalGraph:

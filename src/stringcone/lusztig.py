@@ -16,32 +16,28 @@ antichain up in the table and raise ValueError for one not in
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections import namedtuple
+from collections.abc import Iterator
 from operator import add
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .arquiver import ARQuiver
 from .cartan import InvariantViolation, Vector
 from .crystal import CrystalGraph, bfs_crystal
 
 
-class Antichain(NamedTuple):
-    type_index: int
-    positions: tuple[int, ...]
+class Antichain(namedtuple("Antichain", "type_index positions")):
+    __slots__ = ()
 
 
-class _Entry(NamedTuple):
+class _Entry(namedtuple("_Entry", "ideal cominimals move mask")):
     """One antichain A of a type table: its order ideal, complement minimals and
     move vector, and the ideal as a bitmask (bit k for position k)."""
 
-    ideal: tuple[int, ...]
-    cominimals: tuple[int, ...]
-    move: Vector
-    mask: int
+    __slots__ = ()
 
 
-class _TypeTable(NamedTuple):
+class _TypeTable(namedtuple("_TypeTable", "entries rows steps")):
     """The antichains of one type in (ideal size, positions) order: `rows` holds
     each (antichain, entry) and `steps` each ladder step (parent, x, tx), index
     for index, and `entries` maps an antichain to its entry.
@@ -52,9 +48,7 @@ class _TypeTable(NamedTuple):
     or nothing (-1), so F_A(t) = F_parent(t) + t[x] - t[tx].
     """
 
-    entries: Mapping[Antichain, _Entry]
-    rows: tuple[tuple[Antichain, _Entry], ...]
-    steps: tuple[tuple[int, int, int], ...]
+    __slots__ = ()
 
 
 def _table(ar: ARQuiver, i: int) -> _TypeTable:

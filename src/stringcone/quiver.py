@@ -7,9 +7,9 @@ together with its segmented rewritings.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import islice
-from typing import NamedTuple
 
 from .cartan import (
     DynkinDiagram,
@@ -38,11 +38,10 @@ class NotAdapted(ValueError):
     """The word is not adapted to the quiver."""
 
 
-class Quiver(NamedTuple):
+class Quiver(namedtuple("Quiver", "diagram arrows")):
     """An orientation of an A/D tree; arrows are (source, target) pairs."""
 
-    diagram: DynkinDiagram
-    arrows: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def quiver(diagram: DynkinDiagram, arrows) -> Quiver:

@@ -12,10 +12,10 @@ ride (`_staircase`)."""
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections import namedtuple
+from functools import cached_property
 from itertools import groupby
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .arquiver import ARQuiver
 from .cartan import InvariantViolation, Vector, path_diagram, reflection_ordering
@@ -26,21 +26,24 @@ from .quiver import NotAdapted
 Node = tuple[str, int] | int  # ("l", j) / ("r", j) borders, int crossing position
 
 
-class GPPath(NamedTuple):
-    type_index: int
-    crossings: tuple[int, ...]
-    wires: tuple[int, ...]  # one per segment, len(crossings) + 1
+class GPPath(namedtuple("GPPath", [
+    "type_index", "crossings",
+    "wires",  # one per segment, len(crossings) + 1
+])):
+    __slots__ = ()
 
 
-class WiringDiagram(NamedTuple):
-    n: int
-    word: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
-    occupancy: tuple[tuple[int, ...], ...]  # wires per track, per gap 0..N
-    wire_route: dict[int, tuple[int, ...]]
-    crossing: Mapping[tuple[int, int], int]  # pair -> k
-    caps: tuple[tuple[int, ...], ...]  # 0, level crossings, N+1
-    cache: dict
+class WiringDiagram(namedtuple("WiringDiagram", [
+    "n", "word", "pairs",
+    "occupancy",  # wires per track, per gap 0..N
+    "wire_route",
+    "crossing",  # pair -> k
+    "caps",  # 0, level crossings, N+1
+])):
+    @cached_property
+    def cache(self) -> dict:
+        """Tables built on first use; a `_replace` copy starts with none."""
+        return {}
 
     @property
     def N(self) -> int:
@@ -95,7 +98,6 @@ def build_wiring(word, n: int) -> WiringDiagram:
             (0, *(k for k, t in enumerate(word, start=1) if t == band), len(word) + 1)
             for band in range(1, n + 1)
         ),
-        cache={},
     )
 
 
@@ -126,13 +128,13 @@ def _forward(wire: int, i: int) -> bool:
     return wire > i
 
 
-class _TypeTable(NamedTuple):
-    graph: Mapping[Node, tuple[tuple[int, Node], ...]]
-    forbidden: frozenset[tuple[int, int]]
-    paths: tuple[GPPath, ...]
-    members: frozenset[GPPath]  # the same paths, for membership tests
+class _TypeTable(namedtuple("_TypeTable", [
+    "graph", "forbidden", "paths",
+    "members",  # the same paths, for membership tests
     # wire -> its crossings in its travel direction, and crossing -> index there
-    rides: Mapping[int, tuple[tuple[int, ...], Mapping[int, int]]]
+    "rides",
+])):
+    __slots__ = ()
 
 
 def _table(wd: WiringDiagram, i: int) -> _TypeTable:
@@ -269,10 +271,8 @@ def limiting_path(wd: WiringDiagram, i: int) -> GPPath:
     return _staircase(wd, i, (i + 1, i))
 
 
-class Zones(NamedTuple):
-    delta: GPPath
-    z_positions: frozenset[int]
-    y_positions: frozenset[int]
+class Zones(namedtuple("Zones", "delta z_positions y_positions")):
+    __slots__ = ()
 
 
 def zones(wd: WiringDiagram, i: int) -> Zones:

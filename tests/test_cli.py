@@ -154,7 +154,7 @@ def test_verify_suite_json_carries_an_internal_fault(capsys, monkeypatch):
         if quiver_spec(q) != "2>1,2>3":
             return ar
         tau = {k: t - 1 if t > 1 else t for k, t in ar.tau.items()}
-        return ar._replace(tau=tau, cache={})
+        return ar._replace(tau=tau)
 
     monkeypatch.setattr(verify.arquiver, "build_ar", shifted)
     code, out, _ = run(

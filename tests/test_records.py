@@ -4,11 +4,13 @@ import sys
 
 import pytest
 
+from stringcone.arquiver import build_ar
 from stringcone.cartan import path_diagram
+from stringcone.crystal import CrystalGraph
 from stringcone.lusztig import Antichain
 from stringcone.quiver import all_orientations, parse_quiver, quiver_spec
 from stringcone.verify import VerificationReport
-from stringcone.wiring import GPPath
+from stringcone.wiring import GPPath, Zones, build_wiring, gp_paths
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -35,6 +37,19 @@ RECORDS = [
         " witness=None)",
         "passed",
     ),
+    (
+        Zones(GPPath(1, (2,), (2, 1)), frozenset({2}), frozenset({1, 2})),
+        (GPPath(1, (2,), (2, 1)), frozenset({2}), frozenset({1, 2})),
+        "Zones(delta=GPPath(type_index=1, crossings=(2,), wires=(2, 1)),"
+        " z_positions=frozenset({2}), y_positions=frozenset({1, 2}))",
+        "delta",
+    ),
+    (
+        CrystalGraph((0,), frozenset({(0,)}), frozenset()),
+        ((0,), frozenset({(0,)}), frozenset()),
+        "CrystalGraph(source=(0,), vertices=frozenset({(0,)}), edges=frozenset())",
+        "edges",
+    ),
 ]
 
 
@@ -48,6 +63,22 @@ def test_record_hash_repr_and_immutability(record, fields, text, name):
     assert repr(record) == text
     with pytest.raises(AttributeError):
         setattr(record, name, None)
+
+
+def test_a_replaced_copy_starts_with_no_tables():
+    # the tables built on first use belong to one record: a copy with a changed
+    # field must build its own, not read its parent's
+    ar = build_ar(parse_quiver("2>1,2>3"))
+    ar.hom_table()
+    wd = build_wiring(ar.word, ar.n)
+    gp_paths(wd, 1)
+    for record, name in ((ar, "tau"), (wd, "caps")):
+        assert record.cache
+        copy = record._replace(**{name: getattr(record, name)})
+        assert copy.cache == {}
+        assert copy.cache is not record.cache
+        with pytest.raises(AttributeError):
+            setattr(copy, name, None)
 
 
 def test_sorted_orientations_keep_their_order():
@@ -71,9 +102,10 @@ def _loaded_by_cli_import(names):
 
 
 def test_import_loads_no_dataclasses():
-    # dataclasses pulls in inspect, ast, dis, tokenize and more, which nothing
-    # else needs and every CLI call would pay for at start-up
-    assert _loaded_by_cli_import({"dataclasses", "inspect"}) == "[]\n"
+    # dataclasses pulls in inspect, ast, dis, tokenize and more, and typing is
+    # a large module of its own; nothing else needs them and every CLI call
+    # would pay for them at start-up
+    assert _loaded_by_cli_import({"dataclasses", "inspect", "typing"}) == "[]\n"
 
 
 def test_import_loads_no_tempfile():

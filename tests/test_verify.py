@@ -257,7 +257,7 @@ def test_mesh_relation_catches_a_shifted_translation(monkeypatch):
     ar = build_ar(q)
     assert ar.tau == {5: 1, 6: 2, 7: 3, 8: 4, 9: 5, 10: 7}
     tau = {k: t - 1 if t > 1 else t for k, t in ar.tau.items()}
-    shifted = ar._replace(tau=tau, cache={})
+    shifted = ar._replace(tau=tau)
     monkeypatch.setattr(verify.arquiver, "build_ar", lambda *args: shifted)
     reports = {r.check: r for r in structural_reports(q)}
     mesh = reports["mesh_relation"]
@@ -273,7 +273,7 @@ def test_a_raising_check_fails_under_its_own_name(monkeypatch, spec, count):
     q = parse_quiver(spec)
     ar = build_ar(q)
     tau = {k: t - 1 if t > 1 else t for k, t in ar.tau.items()}
-    shifted = ar._replace(tau=tau, cache={})
+    shifted = ar._replace(tau=tau)
     monkeypatch.setattr(verify.arquiver, "build_ar", lambda *args: shifted)
     reports = structural_reports(q)
     assert len(reports) == count
@@ -298,7 +298,9 @@ def test_a_broken_move_table_fails_its_reports_and_the_sweep_completes(monkeypat
             return ar
         down = list(ar.down)
         down[7] &= ~(1 << 5)
-        return ar._replace(down=tuple(down), cache={"hom": ar.hom_table()})
+        broken = ar._replace(down=tuple(down))
+        broken.cache["hom"] = ar.hom_table()
+        return broken
 
     monkeypatch.setattr(verify.arquiver, "build_ar", build)
     summary = run_suite(4, 0)
