@@ -73,6 +73,10 @@ MUTANTS = [
      ["string_cone_box1"]),
     ("cone-code-step-unweighted", "strings.py", "code + v * w", "code + v",
      ["string_cone_box1"]),
+    ("raise-first-max", "strings.py", "1 if p > k else 0", "p < k", ["string_cone_box1"]),
+    ("lower-last-max", "strings.py", "(1 if p < k else 0)", "(p > k)", ["string_cone_box1"]),
+    ("closure-box-gate-le", "strings.py", "if s[n + k] < box:", "if s[n + k] <= box:",
+     ["string_cone_box1"]),
     ("reflect-wrong-row", "cartan.py", "-= sum(c * out[j] for j, c in support[i - 1])",
      "-= sum(c * out[j] for j, c in support[i - 2])", "InvariantViolation"),
 ]

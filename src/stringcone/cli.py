@@ -258,6 +258,8 @@ def _dispatch(args) -> tuple[str, int]:
 
 def _run_verify(args) -> tuple[str, int]:
     if args.kind == "suite":
+        if args.max_rank == 0:
+            raise UsageError("--max-rank 0 sweeps no quiver, so no check would run")
         summary = verify.run_suite(args.max_rank, args.box)
         if args.fmt == "json":
             return _json_text(summary.as_json()), 0 if summary.ok else 1

@@ -3,7 +3,8 @@ test, brute-force string-set generation, and integer cone point utilities.
 
 The three box kernels (`generate_strings`, `strings_in_box`,
 `cone_points_pruned`) return the integer codes of their points (see
-`_weights`); `points` is the one decoder."""
+`_weights`); `points` is the one decoder.  The raising closure and the lowering
+filter are two rule tables for one box search, `_closure`."""
 
 from __future__ import annotations
 
@@ -139,36 +140,21 @@ def _weights(n: int, box: int) -> list[int]:
     return [(box + 1) ** k for k in range(n)]
 
 
-def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[int]:
-    """The codes (see `_weights`) of the points of [0..box]^N that is_string
-    accepts, searched upward from zero.
+def _closure(rows, ties, box: int) -> frozenset[int]:
+    """The codes (see `_weights`) of the points of [0..box]^N reached from zero
+    by steps a -> a + e_k with a_k < box and r(a)_p + offset <= r(a)_k for every
+    (p, offset) in `ties[k]`: the one box search behind both string kernels,
+    which differ only in their tie tables.
 
-    A nonzero point b is a string iff some lowering of b is defined and lands on
-    a string, and a lowering that subtracts e_k is b's first maximum of r among
-    the positions of letter word[k].  So from each accepted a, the point
-    b = a + e_k is accepted exactly when k is that first maximum of r(b): the
-    lowering tie rule applied at b, never the raising rule at a.
-
-    The rule is read on r(a) at the letter's positions.  Raising a_k adds a
-    fixed step d_p to each r_p, so k is the first maximum of r(b) iff
-    r(a)_p + d_p - d_k + 1 <= r(a)_k at each earlier position p of the letter
-    and r(a)_p + d_p - d_k <= r(a)_k at each later one; `ties[k]` holds these
-    (p, offset) pairs.  Each point of the search is its code and one list, r in
-    slots 0..N-1 and a in slots N..2N-1; an accepted b is looked up by its code
-    among the codes found so far, and only a new b gets a list: a copy with r's
-    row bumped and slot N+k raised.  The work is |strings| * N, not the
-    (box+1)^N of a scan.
+    Each point of the search is its code and one list, r in slots 0..N-1 and a
+    in slots N..2N-1; a stepped-to point is looked up by its code among the
+    codes found so far, and only a new one gets a list: a copy with r's row
+    bumped and slot N+k raised.  The work is |points| * N, not the (box+1)^N of
+    a scan.
     """
     if box < 0:
         return frozenset()  # [0..box]^N has no points
-    word = tuple(word)
-    n = len(word)
-    groups, rows = _layout(d, word)
-    ties = [None] * n
-    for ps in groups:
-        for k in ps:
-            step = _bump([0] * n, rows[k], k, 1)
-            ties[k] = [(p, step[p] - step[k] + (1 if p < k else 0)) for p in ps if p != k]
+    n = len(rows)
     weight = _weights(n, box)
     codes = {0}
     stack = [(0, [0] * (2 * n))]
@@ -190,39 +176,50 @@ def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[int]:
     return frozenset(codes)
 
 
+def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[int]:
+    """The codes (see `_weights`) of the points of [0..box]^N that is_string
+    accepts, searched upward from zero.
+
+    A nonzero point b is a string iff some lowering of b is defined and lands on
+    a string, and a lowering that subtracts e_k is b's first maximum of r among
+    the positions of letter word[k].  So from each accepted a, the point
+    b = a + e_k is accepted exactly when k is that first maximum of r(b): the
+    lowering tie rule applied at b, never the raising rule at a.
+
+    The rule is read on r(a) at the letter's positions.  Raising a_k adds a
+    fixed step d_p to each r_p, so k is the first maximum of r(b) iff
+    r(a)_p + d_p - d_k + 1 <= r(a)_k at each earlier position p of the letter
+    and r(a)_p + d_p - d_k <= r(a)_k at each later one; `ties[k]` holds these
+    (p, offset) pairs for `_closure`.
+    """
+    word = tuple(word)
+    groups, rows = _layout(d, word)
+    ties = [None] * len(word)
+    for ps in groups:
+        for k in ps:
+            step = _bump([0] * len(word), rows[k], k, 1)
+            ties[k] = [(p, step[p] - step[k] + (1 if p < k else 0)) for p in ps if p != k]
+    return _closure(rows, ties, box)
+
+
 def generate_strings(d: DynkinDiagram, word, box: int) -> frozenset[int]:
     """The codes (see `_weights`) of the closure of the zero vector under all
     raising operators, pruned to the box.
 
     Pruning is sound: a raising step only increments one coordinate, so every
-    in-box string is reached through intermediates that stay in the box.  Each
-    point of the search is its code and one list, r in slots 0..N-1 and a in
-    slots N..2N-1; a raised point is looked up by its code among the codes
-    reached so far, and only a new one gets a list: a copy with r's row bumped
-    and slot N+k raised.
+    in-box string is reached through intermediates that stay in the box.  The
+    raising operator of a letter adds e_k at the last maximum of r(a) among its
+    positions, that is where r(a)_p <= r(a)_k at each earlier position p and
+    r(a)_p + 1 <= r(a)_k at each later one; `ties[k]` holds these (p, offset)
+    pairs for `_closure`.
     """
-    if box < 0:
-        return frozenset()  # [0..box]^N has no points
     word = tuple(word)
-    n = len(word)
     groups, rows = _layout(d, word)
-    last_first = [ps[::-1] for ps in groups]
-    weight = _weights(n, box)
-    codes = {0}
-    stack = [(0, [0] * (2 * n))]
-    while stack:
-        code, s = stack.pop()
-        at = s.__getitem__
-        for ps in last_first:
-            k = max(ps, key=at)  # the raising rule: the last maximum of r(a)
-            if s[n + k] < box:
-                c = code + weight[k]
-                if c not in codes:
-                    codes.add(c)
-                    t = s.copy()
-                    t[n + k] += 1
-                    stack.append((c, _bump(t, rows[k], k, 1)))
-    return frozenset(codes)
+    ties = [None] * len(word)
+    for ps in groups:
+        for k in ps:
+            ties[k] = [(p, 1 if p > k else 0) for p in ps if p != k]
+    return _closure(rows, ties, box)
 
 
 def points(codes, n: int, box: int) -> list[tuple[int, ...]]:

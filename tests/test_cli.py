@@ -355,6 +355,7 @@ REFUSED = [
     "verify suite --max-rank 1 --box 0 --quiver 2>1",
     "verify suite --max-rank 1 --box 0 --word 1",
     "verify suite --max-rank 1 --box 0 --strict",
+    "verify suite --max-rank 0 --box 0",
     "verify theorem --quiver 2>1 --box 1",
     "verify theorem --quiver 2>1 --max-rank 1",
     "verify cone --quiver 2>1 --box 1 --strict",

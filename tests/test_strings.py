@@ -262,6 +262,34 @@ def test_kernels_where_code_digits_carry_d4(d4):
     assert pruned_points(normals, 2, len(word)) == cone == generated
 
 
+def closure_by_string_e(d, word, box):
+    """The closure of zero under the per-point raising operators, kept to the box."""
+    zero = (0,) * len(word)
+    seen = {zero}
+    stack = [zero]
+    while stack:
+        a = stack.pop()
+        for i in sorted(set(word)):
+            b = string_e(d, word, i, a)
+            if max(b) <= box and b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return frozenset(seen)
+
+
+def test_generate_strings_is_the_string_e_closure(d4):
+    # the raising tie table against the per-point raising rule
+    cases = [(q, adapted_word(q), 3) for n in (1, 2, 3) for q in all_orientations(path_diagram(n))]
+    cases.append((*d4, 2))
+    sizes = []
+    for q, word, box in cases:
+        closure = closure_by_string_e(q.diagram, word, box)
+        assert generated_points(q.diagram, word, box) == closure
+        sizes.append(len(closure))
+    assert sum(sizes[:-1]) == 3224
+    assert sizes[-1] == 4914
+
+
 def test_every_generated_vertex_is_a_string(a3):
     q, word = a3
     d = q.diagram
