@@ -77,6 +77,13 @@ MUTANTS = [
     ("lower-last-max", "strings.py", "(1 if p < k else 0)", "(p > k)", ["string_cone_box1"]),
     ("closure-box-gate-le", "strings.py", "if s[n + k] < box:", "if s[n + k] <= box:",
      ["string_cone_box1"]),
+    ("k-vector-drop-ge", "wiring.py", "if h > l:", "if h >= l:",
+     ["limiting_path", "moves_equal_path_cone", "path_antichain_bijection"]),
+    ("turn-onto-wire-i-ge", "wiring.py", "h > i >= l", "h >= i >= l",
+     ["path_antichain_bijection"]),
+    ("u-counts-cominimals", "lusztig.py", "for k in _translates(ar, comin):", "for k in comin:",
+     ["move_weight_increment", "moves_equal_path_cone", "path_antichain_bijection",
+      "raising_witness", "string_cone_box1"]),
     ("reflect-wrong-row", "cartan.py", "-= sum(c * out[j] for j, c in support[i - 1])",
      "-= sum(c * out[j] for j, c in support[i - 2])", "InvariantViolation"),
 ]

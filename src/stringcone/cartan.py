@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import mul, sub
 
 Vector = tuple[int, ...]
 
@@ -158,7 +159,7 @@ def _reflect(d: DynkinDiagram, letters, v: Vector, basis: str) -> Vector:
 
 def pair_root_weight(root: Vector, weight: Vector) -> int:
     """Cartan pairing of a root (alpha basis) with a weight (omega basis)."""
-    return sum(m * w for m, w in zip(root, weight))
+    return sum(map(mul, root, weight))
 
 
 @lru_cache(maxsize=None)
@@ -195,7 +196,7 @@ def times_simple(d: DynkinDiagram, images, i: int) -> tuple[Vector, ...]:
     """
     base = images[i - 1]
     return tuple(
-        tuple(x - c * y for x, y in zip(img, base)) if c else img
+        tuple(map(sub, img, [c * y for y in base])) if c else img
         for img, c in zip(images, cartan_matrix(d)[i - 1])
     )
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from operator import add
+from operator import add, neg
 from types import MappingProxyType
 
 from .arquiver import ARQuiver
@@ -30,9 +30,9 @@ class Antichain(namedtuple("Antichain", "type_index positions")):
     __slots__ = ()
 
 
-class _Entry(namedtuple("_Entry", "ideal cominimals move mask")):
-    """One antichain A of a type table: its order ideal, complement minimals and
-    move vector, and the ideal as a bitmask (bit k for position k)."""
+class _Entry(namedtuple("_Entry", "ideal cominimals move u mask")):
+    """One antichain A of a type table: its order ideal, complement minimals,
+    move vector and u-vector, and the ideal as a bitmask (bit k for position k)."""
 
     __slots__ = ()
 
@@ -59,8 +59,9 @@ def _table(ar: ARQuiver, i: int) -> _TypeTable:
     ground.  An ideal is the OR of its positions' down-sets, a candidate is
     incomparable with the chosen positions when it is outside their ideal and
     its down-set misses them, and an element of the rest is a complement
-    minimal when its down-set meets the rest only in itself.  The move is +1 on
-    A and -1 on the translates of the complement minimals.
+    minimal when its down-set meets the rest only in itself.  The u-vector
+    counts the translates of the complement minimals, and the move is +1 on A
+    minus the u-vector.
     """
     key = ("antichains", i)
     if key not in ar.cache:
@@ -88,12 +89,15 @@ def _table(ar: ARQuiver, i: int) -> _TypeTable:
             a = Antichain(i, positions)
             rest = everything & ~mask
             comin = tuple(x for x in ground if rest >> x & 1 and down[x] & rest == 1 << x)
-            vec = [0] * ar.N
+            u = [0] * ar.N
+            for k in _translates(ar, comin):
+                u[k - 1] += 1
+            vec = list(map(neg, u))
             for k in positions:
                 vec[k - 1] += 1
-            for k in _translates(ar, comin):
-                vec[k - 1] -= 1
-            entries[a] = _Entry(tuple(x for x in ground if mask >> x & 1), comin, tuple(vec), mask)
+            entries[a] = _Entry(
+                tuple(x for x in ground if mask >> x & 1), comin, tuple(vec), tuple(u), mask
+            )
             x = positions[-1]
             below = mask & ~(1 << x)
             if not below:
@@ -128,7 +132,7 @@ def antichain_rows(ar: ARQuiver, i: int) -> Iterator[tuple]:
     """Each antichain of `antichains(ar, i)`, in that order, as the tuple
     (antichain, ideal, cominimals, move, u-vector)."""
     for a, e in _table(ar, i).rows:
-        yield a, e.ideal, e.cominimals, e.move, _u(ar, e.cominimals)
+        yield a, e.ideal, e.cominimals, e.move, e.u
 
 
 def ideal(ar: ARQuiver, a: Antichain) -> tuple[int, ...]:
@@ -146,14 +150,6 @@ def _translates(ar: ARQuiver, comin) -> list[int]:
     return [ar.tau[k] for k in comin if k in ar.tau]
 
 
-def _u(ar: ARQuiver, comin) -> Vector:
-    """Multiplicity vector counting the translates of the complement minimals."""
-    vec = [0] * ar.N
-    for k in _translates(ar, comin):
-        vec[k - 1] += 1
-    return tuple(vec)
-
-
 def move(ar: ARQuiver, a: Antichain) -> Vector:
     """+1 on the antichain, -1 on translates of the complement minimals.
 
@@ -163,8 +159,9 @@ def move(ar: ARQuiver, a: Antichain) -> Vector:
 
 
 def u_vector(ar: ARQuiver, a: Antichain) -> Vector:
-    """Multiplicity vector of the module whose raising realizes the move."""
-    return _u(ar, _entry(ar, a).cominimals)
+    """Multiplicity vector counting the translates of the complement minimals:
+    the module whose raising realizes the move."""
+    return _entry(ar, a).u
 
 
 def _check_length(ar: ARQuiver, t) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import islice
+from operator import mul
 
 from .cartan import (
     DynkinDiagram,
@@ -273,4 +274,4 @@ def hom_to_simple(ar, k: int, i: int) -> int:
     at i, else 0.  Pairing with a_i reads column i of the Ringel matrix."""
     if not ar.leq(k, ar.simple_positions[i - 1]):
         return 0
-    return sum(b * c for b, c in zip(ar.root(k), _ringel_columns(ar.quiver)[i - 1]))
+    return sum(map(mul, ar.root(k), _ringel_columns(ar.quiver)[i - 1]))

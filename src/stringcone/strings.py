@@ -230,10 +230,10 @@ def points(codes, n: int, box: int) -> list[tuple[int, ...]]:
     for code in codes:
         a = []
         rest = code
-        for _ in range(n):
+        for _ in range(n if box >= 0 else 0):  # a negative box has no point
             rest, x = divmod(rest, base)
             a.append(x)
-        if rest:
+        if rest or box < 0:
             raise ValueError(f"code {code} is no point of [0..{box}]^{n}")
         out.append(tuple(a))
     out.sort()

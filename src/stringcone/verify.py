@@ -230,7 +230,9 @@ def raising_witness(ar, wd):
 
 
 def chamber_weights(ar, wd):
-    # chamber weights against the Weyl-translated fundamental weights
+    # chamber weights against the Weyl-translated fundamental weights; weyl_act
+    # runs on every prefix on purpose, an independent route to each chamber
+    # weight that shares no walk with the wiring diagram's track table
     d, word = ar.quiver.diagram, ar.word
     simple = [simple_root(d, i) for i in range(1, ar.n + 1)]
     bad = []
@@ -316,7 +318,7 @@ def path_antichain_bijection(ar, wd, i):
         bad.append(("count", len(paths), len(chains)))
     rebuilt = {a: wiring.antichain_path(wd, ar, a) for a in chains}
     for a, p in rebuilt.items():
-        if wiring.k_vector(wd, p) != lusztig.move(ar, a):
+        if wiring.path_vector(wd, p) != lusztig.move(ar, a):
             bad.append(("vector", a.positions))
     for p in paths:
         if rebuilt.get(wiring.path_antichain(wd, ar, p)) != p:

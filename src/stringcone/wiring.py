@@ -130,11 +130,29 @@ def _forward(wire: int, i: int) -> bool:
 
 class _TypeTable(namedtuple("_TypeTable", [
     "graph", "forbidden", "paths",
-    "members",  # the same paths, for membership tests
+    "members",  # the same paths, each mapped to its (k-vector, turn positions)
     # wire -> its crossings in its travel direction, and crossing -> index there
     "rides",
 ])):
     __slots__ = ()
+
+
+def _legs(wd: WiringDiagram) -> dict:
+    """wire -> its (edges, ride) leftward and rightward, indexed by `_forward`:
+    the consecutive node pairs from border to border in that travel direction,
+    and its crossings in that order with crossing -> index there; built once
+    per diagram."""
+    if "legs" not in wd.cache:
+        legs = {}
+        for wire in range(1, wd.n + 2):
+            nodes: list[Node] = [("l", wire), *wd.wire_route[wire], ("r", wire)]
+            legs[wire] = []
+            for seq in (nodes[::-1], nodes):
+                route = tuple(seq[1:-1])
+                ride = (route, {k: idx for idx, k in enumerate(route)})
+                legs[wire].append((tuple(zip(seq, seq[1:])), ride))
+        wd.cache["legs"] = legs
+    return wd.cache["legs"]
 
 
 def _table(wd: WiringDiagram, i: int) -> _TypeTable:
@@ -142,8 +160,8 @@ def _table(wd: WiringDiagram, i: int) -> _TypeTable:
     keyed by vertex, the (crossing, wire) pairs a path may not pass straight
     through (both wires of the crossing travel the same way and this one
     ascends), every path from the entry border vertex to the exit vertex that
-    avoids them, sorted and as a set, and each wire's crossings in its travel
-    direction.
+    avoids them, sorted and each with its k-vector and turn positions, and each
+    wire's crossings in its travel direction.
 
     Crossing k swaps wires a < b, with a on the upper track before it, so a
     descends going right: of two right-going wires b ascends, of two left-going
@@ -157,15 +175,11 @@ def _table(wd: WiringDiagram, i: int) -> _TypeTable:
     out: dict[Node, list[tuple[int, Node]]] = {}
     into: dict[Node, list[Node]] = {}
     rides = {}
-    for wire in range(1, wd.n + 2):
-        nodes: list[Node] = [("l", wire), *wd.wire_route[wire], ("r", wire)]
-        if not _forward(wire, i):
-            nodes.reverse()
-        for a, b in zip(nodes, nodes[1:]):
+    for wire, legs in _legs(wd).items():
+        edges, rides[wire] = legs[_forward(wire, i)]
+        for a, b in edges:
             out.setdefault(a, []).append((wire, b))
             into.setdefault(b, []).append(a)
-        route = tuple(nodes[1:-1])
-        rides[wire] = (route, {k: idx for idx, k in enumerate(route)})
     graph = {v: tuple(edges) for v, edges in out.items()}
     forbidden = frozenset(
         (k, b if a > i else a) for k, (a, b) in enumerate(wd.pairs, start=1) if a > i or b <= i
@@ -198,8 +212,9 @@ def _table(wd: WiringDiagram, i: int) -> _TypeTable:
     ((first_wire, first_node),) = graph[("l", i + 1)]
     dfs(first_node, first_wire)
     found.sort(key=lambda p: (p.crossings, p.wires))
+    members = {p: (k_vector(wd, p), _turn_positions(p)) for p in found}
     wd.cache[key] = _TypeTable(
-        MappingProxyType(graph), forbidden, tuple(found), frozenset(found),
+        MappingProxyType(graph), forbidden, tuple(found), MappingProxyType(members),
         MappingProxyType(rides),
     )
     return wd.cache[key]
@@ -220,6 +235,25 @@ def is_gp_path(wd: WiringDiagram, path: GPPath) -> bool:
     return GPPath(i, tuple(path.crossings), tuple(path.wires)) in _table(wd, i).members
 
 
+def _record(wd: WiringDiagram, path: GPPath) -> tuple[Vector, tuple[int, ...]]:
+    """The (k-vector, turn positions) of a path that `is_gp_path` accepts;
+    ValueError for any other."""
+    i = path.type_index
+    record = None
+    if 1 <= i <= wd.n:
+        # a GPPath hashes and compares as the plain tuple of its fields
+        record = _table(wd, i).members.get((i, tuple(path.crossings), tuple(path.wires)))
+    if record is None:
+        raise ValueError(f"{path} is not a path of its type's oriented wiring diagram")
+    return record
+
+
+def path_vector(wd: WiringDiagram, path: GPPath) -> Vector:
+    """The k-vector of a path of `gp_paths`, as its type table records it;
+    ValueError, as `lusztig.move` gives for an unlisted antichain, for any other."""
+    return _record(wd, path)[0]
+
+
 def k_vector(wd: WiringDiagram, path: GPPath) -> Vector:
     """+1 where the path drops to a lower wire index, -1 where it climbs."""
     vec = [0] * wd.N
@@ -234,8 +268,9 @@ def k_vector(wd: WiringDiagram, path: GPPath) -> Vector:
 def gp_table(wd: WiringDiagram) -> list[tuple[int, GPPath, Vector]]:
     out = []
     for i in range(1, wd.n + 1):
-        for path in gp_paths(wd, i):
-            out.append((i, path, k_vector(wd, path)))
+        paths = gp_paths(wd, i)  # the table is built inside gp_paths, a traced boundary
+        members = _table(wd, i).members
+        out.extend((i, path, members[path][0]) for path in paths)
     return out
 
 
@@ -306,16 +341,12 @@ def zones(wd: WiringDiagram, i: int) -> Zones:
     return wd.cache["zones", i]
 
 
-def _turns(ar: ARQuiver, path: GPPath) -> Antichain:
+def _turn_positions(path: GPPath) -> tuple[int, ...]:
     """Positions where the path turns from a forward wire onto a backward one."""
     i = path.type_index
-    positions = tuple(
-        sorted(k for k, h, l in zip(path.crossings, path.wires, path.wires[1:]) if h > i >= l)
+    return tuple(
+        sorted([k for k, h, l in zip(path.crossings, path.wires, path.wires[1:]) if h > i >= l])
     )
-    hom = ar.hom_table()
-    if any(hom[k - 1][i - 1] <= 0 for k in positions):
-        raise InvariantViolation("path turns outside the hammock", {"type": i, "turns": positions})
-    return Antichain(i, positions)
 
 
 def path_antichain(wd: WiringDiagram, ar: ARQuiver, path: GPPath) -> Antichain:
@@ -325,9 +356,13 @@ def path_antichain(wd: WiringDiagram, ar: ARQuiver, path: GPPath) -> Antichain:
     """
     if tuple(ar.word) != wd.word:
         raise NotAdapted("translation quiver and wiring diagram use different words")
-    if not is_gp_path(wd, path):
-        raise ValueError(f"{path} is not a path of its type's oriented wiring diagram")
-    return _turns(ar, path)
+    i = path.type_index
+    turns = _record(wd, path)[1]
+    hom = ar.hom_table()
+    for k in turns:
+        if hom[k - 1][i - 1] <= 0:
+            raise InvariantViolation("path turns outside the hammock", {"type": i, "turns": turns})
+    return Antichain(i, turns)
 
 
 def antichain_path(wd: WiringDiagram, ar: ARQuiver, a: Antichain) -> GPPath:
@@ -346,7 +381,8 @@ def antichain_path(wd: WiringDiagram, ar: ARQuiver, a: Antichain) -> GPPath:
     turns = sorted((wd.crossing[wd.pairs[k - 1][0], i + 1], k) for k in a.positions)
     wires = [i + 1, *(wire for _, k in turns for wire in reversed(wd.pairs[k - 1])), i]
     path = _staircase(wd, i, tuple(wire for wire, _ in groupby(wires)))
-    if not is_gp_path(wd, path) or _turns(ar, path) != a:
+    record = _table(wd, i).members.get(path)
+    if record is None or record[1] != a.positions:
         raise InvariantViolation(
             "reconstructed staircase does not realize the antichain",
             {"type": i, "antichain": a.positions, "crossings": path.crossings},

@@ -174,9 +174,12 @@ def test_invariant_violation_exits_one(capsys, monkeypatch):
     # which must survive python -O
     from stringcone import lusztig
 
-    monkeypatch.setattr(
-        lusztig, "_maximal_row", lambda ar, i, t: (None, lusztig._Entry((), (), (-1,) * ar.N, 0))
-    )
+    def maximal_row(ar, i, t):
+        return None, lusztig._Entry(
+            ideal=(), cominimals=(), move=(-1,) * ar.N, u=(0,) * ar.N, mask=0
+        )
+
+    monkeypatch.setattr(lusztig, "_maximal_row", maximal_row)
     code, out, err = run(capsys, "crystal", "--quiver", "2>1", "--depth", "1")
     assert code == 1 and out == ""
     assert "internal invariant failed: raising gave a negative multiplicity" in err
@@ -323,6 +326,11 @@ STDOUT_DIGESTS = [
      "48b7444113561d130e6f1345c5d0a3002e543d1570fd89abde9433dfdc0dcd04"),
     ("verify conjecture --quiver 1>3,2>3,3>4,4>5 --box 1", 0,
      "678e5fcc9a01beca2a518e7dd08e8e70429751436953a55b7aa47ba79355cca3"),
+    # an A4 path table, read from the type table's path records
+    ("gp --quiver 2>1,2>3,4>3 --type-index 2 --format json", 0,
+     "55840e3a4ba191180ac794882921d6d2f816ba80d1788593d1e3e25a03187b93"),
+    ("inequalities --quiver 2>1,2>3,4>3 --source gp --format json", 0,
+     "8c9b5c216fad5f2c68f803f77f392f1da4110ff0f9ccfef0321cab7d82cb0f2e"),
 ]
 
 

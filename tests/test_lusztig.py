@@ -291,6 +291,25 @@ def test_antichain_rows_match_the_readers(a3_ar, d4_ar):
             ]
 
 
+@pytest.mark.parametrize(
+    "d",
+    [path_diagram(n) for n in range(1, 6)] + [d_diagram(4), d_diagram(5)],
+    ids=[f"A{n}" for n in range(1, 6)] + ["D4", "D5"],
+)
+def test_u_vector_records_match_their_definitions(d):
+    # each entry's u-vector counts the translates of the complement minimals,
+    # and move + u is the 0/1 indicator of the antichain
+    for q in all_orientations(d):
+        ar = build_ar(q)
+        for i in range(1, ar.n + 1):
+            for a, _, _, mv, t_u in antichain_rows(ar, i):
+                translates = [ar.tau.get(c) for c in reference.cominimals(ar, a)]
+                assert t_u == tuple(translates.count(k) for k in range(1, ar.N + 1))
+                assert tuple(m + u for m, u in zip(mv, t_u)) == tuple(
+                    int(k in a.positions) for k in range(1, ar.N + 1)
+                )
+
+
 def test_u_vector_deltas(d4_ar):
     for i in range(1, 5):
         for a in antichains(d4_ar, i):

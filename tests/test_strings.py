@@ -144,7 +144,9 @@ def test_points_inverts_the_code(n, box):
     assert points(sorted(codes, key=lambda c: -c), n, box) == sorted(box_points)
 
 
-@pytest.mark.parametrize("code, n, box", [(-1, 4, 2), (81, 4, 2), (1, 3, 0)])
+# the last four: a negative box has no point, not even the origin
+@pytest.mark.parametrize("code, n, box", [(-1, 4, 2), (81, 4, 2), (1, 3, 0),
+                                          (0, 2, -1), (0, 2, -2), (0, 0, -1), (3, 1, -3)])
 def test_points_refuses_a_code_outside_the_box(code, n, box):
     with pytest.raises(ValueError, match=f"code {code} is no point"):
         points([code], n, box)

@@ -216,6 +216,8 @@ def test_path_antichain_rejects_non_gp_paths(a3_wd, a3_ar, path):
     assert not is_gp_path(a3_wd, path)
     with pytest.raises(ValueError, match="is not a path"):
         path_antichain(a3_wd, a3_ar, path)
+    with pytest.raises(ValueError, match="is not a path"):
+        wiring.path_vector(a3_wd, path)
 
 
 def _one_edit(path, n):
@@ -277,6 +279,24 @@ def test_round_trip_on_a3(a3_wd, a3_ar):
             assert k_vector(a3_wd, path) == move(a3_ar, a)
         for p in gp_paths(a3_wd, i):
             assert antichain_path(a3_wd, a3_ar, path_antichain(a3_wd, a3_ar, p)) == p
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_path_records_match_their_definitions(n):
+    # the type table lists each path once, with its k-vector and the sorted
+    # positions where it turns from a wire > i onto a wire <= i
+    for q in all_orientations(path_diagram(n)):
+        wd = build_wiring(adapted_word(q), n)
+        for i in range(1, n + 1):
+            table = wiring._table(wd, i)
+            assert tuple(table.members) == table.paths
+            for p, (vec, turns) in table.members.items():
+                assert vec == k_vector(wd, p)
+                steps = zip(p.crossings, p.wires, p.wires[1:])
+                assert turns == tuple(sorted(k for k, h, l in steps if h > i and l <= i))
+        assert wiring.gp_table(wd) == [
+            (i, p, k_vector(wd, p)) for i in range(1, n + 1) for p in gp_paths(wd, i)
+        ]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
