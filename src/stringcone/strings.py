@@ -4,7 +4,11 @@ test, brute-force string-set generation, and integer cone point utilities.
 The three box kernels (`generate_strings`, `strings_in_box`,
 `cone_points_pruned`) return the integer codes of their points (see
 `_weights`); `points` is the one decoder.  The raising closure and the lowering
-filter are two rule tables for one box search, `_closure`."""
+filter are two tie tables for one box search, `_closure`; in a simply-laced
+type (c_ii = 2, the only types the package builds) the tables coincide, so one
+search serves both.  The independent per-point pin of the lowering rule is
+`is_string`, through the tests' full-box scans: A1-A3 at box 3 where the box
+has at most 5,000 points, D4 at box 1, and ranks up to 2 at boxes 3-4."""
 
 from __future__ import annotations
 
@@ -140,11 +144,17 @@ def _weights(n: int, box: int) -> list[int]:
     return [(box + 1) ** k for k in range(n)]
 
 
+@lru_cache(maxsize=1)
 def _closure(rows, ties, box: int) -> frozenset[int]:
     """The codes (see `_weights`) of the points of [0..box]^N reached from zero
     by steps a -> a + e_k with a_k < box and r(a)_p + offset <= r(a)_k for every
     (p, offset) in `ties[k]`: the one box search behind both string kernels,
-    which differ only in their tie tables.
+    which differ only in how they build their tie tables.
+
+    The result is kept for the last (rows, ties, box), all tuples: in a
+    simply-laced type both kernels build the same table, so the second search
+    of a cone check returns the first one's set.  A table built by a wrong rule
+    is another key and gets its own search.
 
     Each point of the search is its code and one list, r in slots 0..N-1 and a
     in slots N..2N-1; a stepped-to point is looked up by its code among the
@@ -191,6 +201,11 @@ def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[int]:
     r(a)_p + d_p - d_k + 1 <= r(a)_k at each earlier position p of the letter
     and r(a)_p + d_p - d_k <= r(a)_k at each later one; `ties[k]` holds these
     (p, offset) pairs for `_closure`.
+
+    With c_ii = 2, d_p - d_k is -1 at an earlier position and 1 at a later one,
+    so the offsets are 0 and 1: the raising table of `generate_strings`, and
+    this set is that closure's, from the same search.  `is_string` is the
+    independent per-point check of the lowering rule.
     """
     word = tuple(word)
     groups, rows = _layout(d, word)
@@ -198,8 +213,8 @@ def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[int]:
     for ps in groups:
         for k in ps:
             step = _bump([0] * len(word), rows[k], k, 1)
-            ties[k] = [(p, step[p] - step[k] + (1 if p < k else 0)) for p in ps if p != k]
-    return _closure(rows, ties, box)
+            ties[k] = tuple((p, step[p] - step[k] + (1 if p < k else 0)) for p in ps if p != k)
+    return _closure(rows, tuple(ties), box)
 
 
 def generate_strings(d: DynkinDiagram, word, box: int) -> frozenset[int]:
@@ -218,8 +233,8 @@ def generate_strings(d: DynkinDiagram, word, box: int) -> frozenset[int]:
     ties = [None] * len(word)
     for ps in groups:
         for k in ps:
-            ties[k] = [(p, 1 if p > k else 0) for p in ps if p != k]
-    return _closure(rows, ties, box)
+            ties[k] = tuple((p, 1 if p > k else 0) for p in ps if p != k)
+    return _closure(rows, tuple(ties), box)
 
 
 def points(codes, n: int, box: int) -> list[tuple[int, ...]]:

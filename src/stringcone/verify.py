@@ -110,9 +110,12 @@ def check_cone(diagram, word, normals, box: int) -> VerificationReport:
 
 def string_cone(diagram, word, normals, box):
     # the cone's points against the raising closure of zero; only when they
-    # agree, the lowering oracle's strings against that closure.  The kernels
-    # give point codes, so the sets are compared as codes and only their
-    # differences are decoded, sorted by point
+    # agree, the lowering oracle's strings against that closure.  In a
+    # simply-laced type the two tie tables coincide, so the second kernel
+    # returns the first one's search and the per-point lowering pin is
+    # is_string, in the tests' full-box scans.  The kernels give point codes,
+    # so the sets are compared as codes and only their differences are
+    # decoded, sorted by point
     def decoded(codes):
         return strings.points(codes, len(word), box)
 

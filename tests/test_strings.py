@@ -7,9 +7,16 @@ from hypothesis import given, settings, strategies as st
 from stringcone.cartan import cartan_matrix, d_diagram, path_diagram
 from stringcone.lusztig import lusztig_crystal, lusztig_weight, move_vectors
 from stringcone.arquiver import build_ar
-from stringcone.quiver import adapted_word, all_orientations, condition_L, parse_quiver
+from stringcone.quiver import (
+    adapted_word,
+    all_orientations,
+    condition_L,
+    parse_quiver,
+    quiver_spec,
+)
 from stringcone.strings import (
     LetterAbsent,
+    _closure,
     _layout,
     cone_points_pruned,
     generate_strings,
@@ -290,6 +297,46 @@ def test_generate_strings_is_the_string_e_closure(d4):
         sizes.append(len(closure))
     assert sum(sizes[:-1]) == 3224
     assert sizes[-1] == 4914
+
+
+@pytest.mark.parametrize(
+    "d",
+    [path_diagram(n) for n in range(1, 6)] + [d_diagram(4), d_diagram(5)],
+    ids=[f"A{n}" for n in range(1, 6)] + ["D4", "D5"],
+)
+def test_both_kernels_share_one_search(d):
+    # c_ii = 2, so the lowering tie table is the raising one and the second
+    # kernel of every orientation reads the first one's search
+    for q in all_orientations(d):
+        word = adapted_word(q)
+        _closure.cache_clear()
+        generated = generate_strings(d, word, 1)
+        assert strings_in_box(d, word, 1) is generated
+        info = _closure.cache_info()
+        assert (info.misses, info.hits) == (1, 1), quiver_spec(q)
+
+
+def test_a_changed_tie_is_searched_anew(monkeypatch, a3):
+    # the search is kept by its tie table, so a table with one offset changed,
+    # as a faulty rule would build it, gets a search and a set of its own
+    q, word = a3
+    keys = []
+
+    def recorded(*key):
+        keys.append(key)
+        return _closure(*key)
+
+    monkeypatch.setattr("stringcone.strings._closure", recorded)
+    _closure.cache_clear()
+    generated = generate_strings(q.diagram, word, 1)
+    monkeypatch.undo()
+    [(rows, ties, box)] = keys
+    k = next(k for k, tie in enumerate(ties) if tie)
+    (p, offset), *rest = ties[k]
+    changed = ties[:k] + (((p, 1 - offset), *rest),) + ties[k + 1:]
+    assert _closure(rows, changed, box) != generated
+    info = _closure.cache_info()
+    assert (info.misses, info.hits) == (2, 0)
 
 
 def test_every_generated_vertex_is_a_string(a3):

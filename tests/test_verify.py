@@ -10,6 +10,7 @@ from stringcone.arquiver import build_ar
 from stringcone.cartan import path_diagram
 from stringcone.lusztig import antichains, move_vectors
 from stringcone.quiver import adapted_word, all_orientations, parse_quiver
+from stringcone.strings import _closure
 from stringcone.verify import (
     ConditionLFails,
     NotTypeAInstance,
@@ -407,6 +408,21 @@ def test_suite_rank_five_passes_and_rebuilds_each_path_once(monkeypatch):
         for a in antichains(build_ar(q), i)
     ]
     assert len(calls) == len(pairs) == 501
+
+
+def test_each_cone_check_searches_its_box_once():
+    # the lowering filter's tie table is the raising one, so of each check's
+    # two kernel calls only the first searches; of the 15 instances of ranks
+    # 1-4, A2 2>1 (word 1,2,1) has the layout and tie table of A2 1>2 (word
+    # 2,1,2) just before it, so its first call finds that search as well
+    _closure.cache_clear()
+    assert run_suite(4, 2).ok
+    info = _closure.cache_info()
+    assert (info.misses, info.hits) == (14, 16)
+    _closure.cache_clear()
+    assert check_conjecture(parse_quiver("1>3,2>3,3>4,4>5"), box=1).passed
+    info = _closure.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_paths_enumerated_once_per_type():
