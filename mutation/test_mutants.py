@@ -73,10 +73,13 @@ MUTANTS = [
      ["string_cone_box1"]),
     ("cone-code-step-unweighted", "strings.py", "code + v * w", "code + v",
      ["string_cone_box1"]),
-    ("raise-first-max", "strings.py", "1 if p > k else 0", "p < k", ["string_cone_box1"]),
-    ("lower-last-max", "strings.py", "(1 if p < k else 0)", "(p > k)", ["string_cone_box1"]),
-    ("closure-box-gate-le", "strings.py", "if s[n + k] < box:", "if s[n + k] <= box:",
+    ("raise-scan-ge", "strings.py", "if s[p] > top:", "if s[p] >= top:", ["string_cone_box1"]),
+    ("lower-last-max", "strings.py", "for low in ps:", "for low in reversed(ps):",
      ["string_cone_box1"]),
+    ("lower-at-zero-max", "strings.py", "if low is None and top > 0:",
+     "if low is None and top >= 0:", ["string_cone_box1"]),
+    ("closure-box-gate-le", "strings.py", "if s[n + k] < box:\n                c = code",
+     "if s[n + k] <= box:\n                c = code", ["string_cone_box1"]),
     ("k-vector-drop-ge", "wiring.py", "if h > l:", "if h >= l:",
      ["limiting_path", "moves_equal_path_cone", "path_antichain_bijection"]),
     ("turn-onto-wire-i-ge", "wiring.py", "h > i >= l", "h >= i >= l",

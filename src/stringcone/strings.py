@@ -3,18 +3,22 @@ test, brute-force string-set generation, and integer cone point utilities.
 
 The three box kernels (`generate_strings`, `strings_in_box`,
 `cone_points_pruned`) return the integer codes of their points (see
-`_weights`); `points` is the one decoder.  The raising closure and the lowering
-filter are two tie tables for one box search, `_closure`; in a simply-laced
-type (c_ii = 2, the only types the package builds) the tables coincide, so one
-search serves both.  The independent per-point pin of the lowering rule is
-`is_string`, through the tests' full-box scans: A1-A3 at box 3 where the box
-has at most 5,000 points, D4 at box 1, and ranks up to 2 at boxes 3-4."""
+`_weights`); `points` is the one decoder.  `generate_strings` is the raising
+closure of zero, found by one scan per letter per point, and in the same pass
+it runs the lowering certificate on every point it reaches, by the lowering
+rule's own choice of letter and position; a cone check runs this one search.
+`strings_in_box` is the lowering filter, a box search of its own over lowering
+edges, which the tests hold against the closure.  `is_string` walks the one
+greedy lowering path of a point; its docstring proves why that decides
+membership, and the tests run it over whole boxes: A1-A3 at box 3 where the box
+has at most 5,000 points, A3 `2>1,2>3` at box 4, D4 at box 1, and ranks up to
+2 at boxes 3-4."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .cartan import DynkinDiagram, cartan_matrix
+from .cartan import DynkinDiagram, InvariantViolation, cartan_matrix
 from .crystal import CrystalGraph, bfs_crystal
 
 
@@ -27,8 +31,8 @@ def _layout(d: DynkinDiagram, word: tuple[int, ...]):
     """The positions of each letter (one tuple per letter, letters ascending,
     positions ascending), and for each position j the pairs (k, c_{i_j, i_k})
     with k > j and a nonzero entry.  Both are tuples, built once per (diagram,
-    word) and shared by every caller: both searches of a cone check, and every
-    point of an is_string scan."""
+    word) and shared by every caller: both box searches, and every point of an
+    is_string scan."""
     cm = cartan_matrix(d)
     groups = tuple(
         tuple(k for k, letter in enumerate(word) if letter == i) for i in sorted(set(word))
@@ -103,38 +107,59 @@ def string_f(d: DynkinDiagram, word, i: int, a):
 
 
 def is_string(d: DynkinDiagram, word, a) -> bool:
-    """Membership test for the embedded crystal image, by lowering to zero.
+    """Membership test for the embedded crystal image, along the one greedy
+    lowering path: each step takes the first letter whose maximum of r over
+    its positions is positive and lowers at that letter's first maximum k; the
+    walk rejects when no letter has a positive maximum or a_k = 0, and accepts
+    when it reaches zero.  With c_ii = 2 (every type the package builds) this
+    decides membership, by two facts.
 
-    The image is the raising-closure of the zero vector, and lowering undoes
-    raising exactly wherever it is defined; so a nonzero point lies in the
-    image iff some applicable lowering does (the last raising edge of any
-    witnessing path can be peeled off), that is iff zero is reached by
-    lowering.  Search the lowerings depth first on an explicit stack, carrying
-    r along each lowering step; a point met again is already searched or
-    waiting on the stack, so each point is searched once.
+    1. Raising at the last maximum and lowering at the first maximum are
+       inverse maps on Z^N.  Changing a_k by t changes r_k by t, r_p by
+       c_ii * t = 2t at each later position p of the same letter, and no earlier
+       r_p.  Raise at the last maximum k, of value m: earlier positions stay
+       <= m, r_k becomes m + 1 and later positions go from <= m - 1 to
+       <= m + 1, so k is the first maximum of the raised point and lowering
+       there undoes the step.  Lower at the first maximum k, of value m:
+       earlier positions stay <= m - 1, r_k becomes m - 1 and later positions
+       go from <= m to <= m - 2, so k is the last maximum of the lowered point
+       and raising there undoes the step.
+
+    2. A point lowers to zero along some path exactly when it does along the
+       greedy path.  The image is the raising closure of zero.  By 1, a
+       lowering path from b to zero, read backwards, raises zero to b, and a
+       raising path from zero to b, read backwards, lowers b to zero; so the
+       points that lower to zero along some path are the image.  The image
+       with these operators is B(infinity) in its string embedding
+       (Kashiwara; Littelmann 1998; Nakashima-Zelevinsky 1997), where
+       epsilon_i(b) = max(0, the maximum of r over letter i): lowering a point
+       of the image where epsilon_i > 0 lands in the image, and zero is its
+       only point where every epsilon_i is 0.  So at a nonzero point of the
+       image the greedy step finds a letter, has a_k > 0 (points of the image
+       have no negative entry) and lands in the image.  Each step lowers
+       sum(a) by one, so from a point of the image the greedy path reaches
+       zero in sum(a) steps; from any other point no path does, and the walk
+       rejects.
+
+    The walk carries r along each step and keeps no seen set and no stack.
     """
-    word = tuple(word)
-    a = tuple(a)
-    groups, rows = _layout(d, word)
+    a = list(a)
+    groups, rows = _layout(d, tuple(word))
     r = _r_vector(rows, a)
     if any(x < 0 for x in a):
         return False
-    zero = (0,) * len(word)
-    seen = {a}
-    stack = [(a, r)]
-    while stack:
-        v, r = stack.pop()
-        if v == zero:
-            return True
-        # pushed last letter first, so the first letter's lowering is searched first
-        for ps in reversed(groups):
+    for _ in range(sum(a)):
+        for ps in groups:
             k = _argmax(r, ps)
-            if v[k]:
-                u = _shift(v, k, -1)
-                if u not in seen:
-                    seen.add(u)
-                    stack.append((u, _bump(r.copy(), rows[k], k, -1)))
-    return False
+            if r[k] > 0:
+                break
+        else:
+            return False
+        if not a[k]:
+            return False
+        a[k] -= 1
+        _bump(r, rows[k], k, -1)
+    return True
 
 
 def _weights(n: int, box: int) -> list[int]:
@@ -144,27 +169,50 @@ def _weights(n: int, box: int) -> list[int]:
     return [(box + 1) ** k for k in range(n)]
 
 
-@lru_cache(maxsize=1)
-def _closure(rows, ties, box: int) -> frozenset[int]:
-    """The codes (see `_weights`) of the points of [0..box]^N reached from zero
-    by steps a -> a + e_k with a_k < box and r(a)_p + offset <= r(a)_k for every
-    (p, offset) in `ties[k]`: the one box search behind both string kernels,
-    which differ only in how they build their tie tables.
+class NotLowered(InvariantViolation):
+    """A point of the raising closure failed the lowering certificate: its
+    lowering is undefined or lands outside the closure.  `codes` holds the
+    closure's codes and `points` the failing points, sorted."""
 
-    The result is kept for the last (rows, ties, box), all tuples: in a
-    simply-laced type both kernels build the same table, so the second search
-    of a cone check returns the first one's set.  A table built by a wrong rule
-    is another key and gets its own search.
+    def __init__(self, codes: frozenset[int], failing: list[tuple[int, ...]]) -> None:
+        super().__init__("the lowering rule leaves the raising closure", failing)
+        self.codes = codes
+        self.points = failing
 
-    Each point of the search is its code and one list, r in slots 0..N-1 and a
-    in slots N..2N-1; a stepped-to point is looked up by its code among the
-    codes found so far, and only a new one gets a list: a copy with r's row
-    bumped and slot N+k raised.  The work is |points| * N, not the (box+1)^N of
-    a scan.
+
+def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[int]:
+    """The codes (see `_weights`) of the points of [0..box]^N that is_string
+    accepts, searched upward from zero over lowering edges.
+
+    A nonzero point b is a string iff some lowering of b is defined and lands on
+    a string, and a lowering that subtracts e_k is b's first maximum of r among
+    the positions of letter word[k].  So from each accepted a, the point
+    b = a + e_k is accepted exactly when k is that first maximum of r(b): the
+    lowering tie rule applied at b, never the raising rule at a.
+
+    The rule is read on r(a) at the letter's positions.  Raising a_k adds a
+    fixed step d_p to each r_p, so k is the first maximum of r(b) iff
+    r(a)_p + d_p - d_k + 1 <= r(a)_k at each earlier position p of the letter
+    and r(a)_p + d_p - d_k <= r(a)_k at each later one; `ties[k]` holds these
+    (p, offset) pairs.
+
+    This is the lowering filter, a box search of its own that the tests hold
+    against `generate_strings` and `is_string`; a cone check runs the lowering
+    certificate of `generate_strings` instead.  Each point of the search is its
+    code and one list, r in slots 0..N-1 and a in slots N..2N-1; a stepped-to
+    point is looked up by its code among the codes found so far, and only a new
+    one gets a list.
     """
+    word = tuple(word)
+    groups, rows = _layout(d, word)
     if box < 0:
         return frozenset()  # [0..box]^N has no points
-    n = len(rows)
+    n = len(word)
+    ties = [None] * n
+    for ps in groups:
+        for k in ps:
+            step = _bump([0] * n, rows[k], k, 1)
+            ties[k] = [(p, step[p] - step[k] + (1 if p < k else 0)) for p in ps if p != k]
     weight = _weights(n, box)
     codes = {0}
     stack = [(0, [0] * (2 * n))]
@@ -186,55 +234,70 @@ def _closure(rows, ties, box: int) -> frozenset[int]:
     return frozenset(codes)
 
 
-def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[int]:
-    """The codes (see `_weights`) of the points of [0..box]^N that is_string
-    accepts, searched upward from zero.
-
-    A nonzero point b is a string iff some lowering of b is defined and lands on
-    a string, and a lowering that subtracts e_k is b's first maximum of r among
-    the positions of letter word[k].  So from each accepted a, the point
-    b = a + e_k is accepted exactly when k is that first maximum of r(b): the
-    lowering tie rule applied at b, never the raising rule at a.
-
-    The rule is read on r(a) at the letter's positions.  Raising a_k adds a
-    fixed step d_p to each r_p, so k is the first maximum of r(b) iff
-    r(a)_p + d_p - d_k + 1 <= r(a)_k at each earlier position p of the letter
-    and r(a)_p + d_p - d_k <= r(a)_k at each later one; `ties[k]` holds these
-    (p, offset) pairs for `_closure`.
-
-    With c_ii = 2, d_p - d_k is -1 at an earlier position and 1 at a later one,
-    so the offsets are 0 and 1: the raising table of `generate_strings`, and
-    this set is that closure's, from the same search.  `is_string` is the
-    independent per-point check of the lowering rule.
-    """
-    word = tuple(word)
-    groups, rows = _layout(d, word)
-    ties = [None] * len(word)
-    for ps in groups:
-        for k in ps:
-            step = _bump([0] * len(word), rows[k], k, 1)
-            ties[k] = tuple((p, step[p] - step[k] + (1 if p < k else 0)) for p in ps if p != k)
-    return _closure(rows, tuple(ties), box)
-
-
 def generate_strings(d: DynkinDiagram, word, box: int) -> frozenset[int]:
     """The codes (see `_weights`) of the closure of the zero vector under all
-    raising operators, pruned to the box.
+    raising operators, pruned to the box, checked by the lowering certificate.
 
     Pruning is sound: a raising step only increments one coordinate, so every
     in-box string is reached through intermediates that stay in the box.  The
-    raising operator of a letter adds e_k at the last maximum of r(a) among its
-    positions, that is where r(a)_p <= r(a)_k at each earlier position p and
-    r(a)_p + 1 <= r(a)_k at each later one; `ties[k]` holds these (p, offset)
-    pairs for `_closure`.
+    raising operator of a letter adds e_k at the last maximum k of r(a) among
+    its positions: one scan per letter, from its last position down, that
+    moves to a position only when its r is strictly larger.
+
+    Each point of the search is its code and one list, r in slots 0..N-1 and a
+    in slots N..2N-1; a stepped-to point is looked up by its code among the
+    codes found so far, and only a new one gets a list: a copy with r's row
+    bumped and slot N+k raised.  The work is |points| * N, not the (box+1)^N of
+    a scan.
+
+    The lowering certificate runs in the same pass, by its own rule.  At each
+    nonzero point b it takes the first letter whose maximum of r(b) is
+    positive, and that letter's first maximum k, found by a scan of its own up
+    from the letter's first position; b_k > 0 is required, and b - e_k must be
+    among the searched codes, which is tested once for all points after the
+    search.  When every point passes, each point lowers to zero by the lowering
+    rule alone, one step at a time (by induction on sum(b), since b - e_k is
+    again a point of the set), so the set is pinned by both rules: see
+    `is_string` for why they agree.  Otherwise NotLowered is raised, carrying
+    the codes and the failing points.
     """
     word = tuple(word)
     groups, rows = _layout(d, word)
-    ties = [None] * len(word)
-    for ps in groups:
-        for k in ps:
-            ties[k] = tuple((p, 1 if p > k else 0) for p in ps if p != k)
-    return _closure(rows, tuple(ties), box)
+    if box < 0:
+        return frozenset()  # [0..box]^N has no points
+    n = len(word)
+    weight = _weights(n, box)
+    # each letter's positions: the last, the others from the last down, and
+    # all of them from the first up
+    scans = [(ps[-1], ps[-2::-1], ps) for ps in groups]
+    codes = {0}
+    lowered = {}  # each nonzero point's code -> its lowering's code, -1 for none
+    stack = [(0, [0] * (2 * n))]
+    while stack:
+        code, s = stack.pop()
+        low = None
+        for k, down, ps in scans:
+            top = s[k]
+            for p in down:
+                if s[p] > top:
+                    k, top = p, s[p]
+            if low is None and top > 0:
+                for low in ps:
+                    if s[low] == top:
+                        break
+            if s[n + k] < box:
+                c = code + weight[k]
+                if c not in codes:
+                    codes.add(c)
+                    t = s.copy()
+                    t[n + k] += 1
+                    stack.append((c, _bump(t, rows[k], k, 1)))
+        if code:
+            lowered[code] = code - weight[low] if low is not None and s[n + low] else -1
+    if not codes.issuperset(lowered.values()):
+        failing = [b for b, c in lowered.items() if c not in codes]
+        raise NotLowered(frozenset(codes), points(failing, n, box))
+    return frozenset(codes)
 
 
 def points(codes, n: int, box: int) -> list[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 import pytest
 
+from stringcone import strings
 from stringcone.arquiver import build_ar
 from stringcone.quiver import adapted_word, parse_quiver
 from stringcone.wiring import build_wiring
@@ -43,3 +44,19 @@ def d4_ar(d4):
 def a3_wd(a3):
     _, word = a3
     return build_wiring(word, 3)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The number of calls of each box search, counted wherever it is reached
+    through the `strings` module."""
+    calls = {"generate_strings": 0, "strings_in_box": 0}
+    for name in calls:
+        original = getattr(strings, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(strings, name, counted)
+    return calls

@@ -192,6 +192,34 @@ def string_weight(d, word, a) -> tuple[int, ...]:
     return tuple(out)
 
 
+def lowers_to_zero(d, word, a) -> bool:
+    """Whether some path of lowering steps takes a to zero: a step picks any
+    letter, and subtracts e_k at the first position k of that letter where
+    r_k = a_k + sum_{j<k} c_{i_j, i_k} a_j is maximal, provided a_k > 0.  Every
+    point met is searched, with r recomputed from its definition."""
+    cm = cartan_matrix(d)
+    a = tuple(a)
+    if any(x < 0 for x in a):
+        return False
+    seen = {a}
+    stack = [a]
+    while stack:
+        v = stack.pop()
+        if not any(v):
+            return True
+        r = [v[k] + sum(cm[word[j] - 1][word[k] - 1] * v[j] for j in range(k))
+             for k in range(len(v))]
+        for letter in set(word):
+            ps = [k for k, x in enumerate(word) if x == letter]
+            k = max(ps, key=lambda p: (r[p], -p))
+            if v[k]:
+                u = v[:k] + (v[k] - 1,) + v[k + 1:]
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return False
+
+
 def same_labelled_graph(g1, g2) -> bool:
     """Whether the forced source-to-source vertex matching is a graph isomorphism.
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from stringcone.cartan import cartan_matrix, d_diagram, path_diagram
 from stringcone.lusztig import lusztig_crystal, lusztig_weight, move_vectors
 from stringcone.arquiver import build_ar
+from stringcone.verify import check_cone
 from stringcone.quiver import (
     adapted_word,
     all_orientations,
@@ -16,7 +17,6 @@ from stringcone.quiver import (
 )
 from stringcone.strings import (
     LetterAbsent,
-    _closure,
     _layout,
     cone_points_pruned,
     generate_strings,
@@ -32,7 +32,13 @@ from stringcone.strings import (
     strings_in_box,
 )
 
-from reference import cone_points, point_code, same_labelled_graph, string_weight
+from reference import (
+    cone_points,
+    lowers_to_zero,
+    point_code,
+    same_labelled_graph,
+    string_weight,
+)
 
 D2 = path_diagram(2)
 W2 = (1, 2, 1)
@@ -160,8 +166,8 @@ def test_points_refuses_a_code_outside_the_box(code, n, box):
 
 
 def test_layout_is_built_once_per_diagram_and_word():
-    # both searches of a cone check, and every point of an is_string scan,
-    # read one layout; its parts are tuples, so no reader can change them
+    # both box searches, and every point of an is_string scan, read one
+    # layout; its parts are tuples, so no reader can change them
     assert _layout(path_diagram(2), (1, 2, 1)) is _layout(D2, W2)
     groups, rows = _layout(D2, W2)
     assert groups == ((0, 2), (1,))
@@ -243,8 +249,8 @@ def test_point_oracle_matches_box_scan_d4(d4):
 def test_kernels_where_code_digits_carry_type_a(n, box):
     # past box 1 a point's integer code carries from one digit to the next;
     # the box scans by is_string stop at rank 2: rank 3 at box 3 is scanned by
-    # test_oracle_agreement_type_a, and at box 4 its four 5^6-point boxes
-    # take about 24 s, so there the full cone scan pins every point
+    # test_oracle_agreement_type_a and one orientation at box 4 by
+    # test_box_scan_a3_box_four, and the full cone scan pins every point
     d = path_diagram(n)
     for q in all_orientations(d):
         word = adapted_word(q)
@@ -269,6 +275,30 @@ def test_kernels_where_code_digits_carry_d4(d4):
     normals = move_vectors(build_ar(q))
     cone = cone_points(normals, 2, len(word))
     assert pruned_points(normals, 2, len(word)) == cone == generated
+
+
+def test_box_scan_a3_box_four(a3):
+    # every point of A3 2>1,2>3's box 4 (15,625 of them) through the greedy
+    # lowering path, against both box searches
+    q, word = a3
+    d = q.diagram
+    box_points = list(product(range(5), repeat=len(word)))
+    assert len(box_points) == 15625
+    accepted = frozenset(a for a in box_points if is_string(d, word, a))
+    assert accepted == generated_points(d, word, 4) == filtered_points(d, word, 4)
+
+
+@pytest.mark.parametrize("spec, box", [("2>1", 4), ("1>2", 4), ("2>1,2>3", 2),
+                                       ("1>2,3>2", 2), ("1>2,2>3", 2), ("4>3,3>1,3>2", 1)])
+def test_greedy_lowering_path_decides_like_every_path(spec, box):
+    # the greedy walk of is_string against a search over every lowering path,
+    # on every point of the box, strings or not
+    q = parse_quiver(spec)
+    d, word = q.diagram, adapted_word(q)
+    box_points = list(product(range(box + 1), repeat=len(word)))
+    greedy = [is_string(d, word, a) for a in box_points]
+    assert greedy == [lowers_to_zero(d, word, a) for a in box_points]
+    assert 0 < sum(greedy) < len(box_points)
 
 
 def closure_by_string_e(d, word, box):
@@ -304,39 +334,15 @@ def test_generate_strings_is_the_string_e_closure(d4):
     [path_diagram(n) for n in range(1, 6)] + [d_diagram(4), d_diagram(5)],
     ids=[f"A{n}" for n in range(1, 6)] + ["D4", "D5"],
 )
-def test_both_kernels_share_one_search(d):
-    # c_ii = 2, so the lowering tie table is the raising one and the second
-    # kernel of every orientation reads the first one's search
+def test_both_kernels_share_one_search(kernel_calls, d):
+    # the raising closure and the lowering certificate come from one search:
+    # each cone check calls generate_strings once and never the lowering
+    # filter's search
     for q in all_orientations(d):
-        word = adapted_word(q)
-        _closure.cache_clear()
-        generated = generate_strings(d, word, 1)
-        assert strings_in_box(d, word, 1) is generated
-        info = _closure.cache_info()
-        assert (info.misses, info.hits) == (1, 1), quiver_spec(q)
-
-
-def test_a_changed_tie_is_searched_anew(monkeypatch, a3):
-    # the search is kept by its tie table, so a table with one offset changed,
-    # as a faulty rule would build it, gets a search and a set of its own
-    q, word = a3
-    keys = []
-
-    def recorded(*key):
-        keys.append(key)
-        return _closure(*key)
-
-    monkeypatch.setattr("stringcone.strings._closure", recorded)
-    _closure.cache_clear()
-    generated = generate_strings(q.diagram, word, 1)
-    monkeypatch.undo()
-    [(rows, ties, box)] = keys
-    k = next(k for k, tie in enumerate(ties) if tie)
-    (p, offset), *rest = ties[k]
-    changed = ties[:k] + (((p, 1 - offset), *rest),) + ties[k + 1:]
-    assert _closure(rows, changed, box) != generated
-    info = _closure.cache_info()
-    assert (info.misses, info.hits) == (2, 0)
+        ar = build_ar(q)
+        report = check_cone(d, ar.word, move_vectors(ar), 1)
+        assert report.passed or not condition_L(ar), quiver_spec(q)
+    assert kernel_calls == {"generate_strings": len(all_orientations(d)), "strings_in_box": 0}
 
 
 def test_every_generated_vertex_is_a_string(a3):

@@ -7,10 +7,10 @@ import pytest
 
 from stringcone import lusztig, quiver, verify
 from stringcone.arquiver import build_ar
-from stringcone.cartan import path_diagram
+from stringcone.cartan import InvariantViolation, path_diagram
 from stringcone.lusztig import antichains, move_vectors
 from stringcone.quiver import adapted_word, all_orientations, parse_quiver
-from stringcone.strings import _closure
+from stringcone.strings import NotLowered, generate_strings, points
 from stringcone.verify import (
     ConditionLFails,
     NotTypeAInstance,
@@ -70,10 +70,9 @@ def test_cone_reports_witness_when_normal_dropped(a3):
     ]
 
 
-def test_cone_witness_tags_name_the_failing_comparison(monkeypatch, a3):
-    # an extra inequality a_1 <= 0 cuts generated strings out of the cone; an
-    # oracle that drops one generated string and adds one point fails the
-    # second comparison, whose tags differ from the first's
+def test_cone_witness_tags_name_the_failing_comparison(a3):
+    # an extra inequality a_1 <= 0 cuts generated strings out of the cone; the
+    # second comparison's tag is test_cone_not_lowered_points_become_sorted_witnesses'
     q, word = a3
     normals = gp_cone(build_wiring(word, 3))
     cut = check_cone(q.diagram, word, normals | {(-1, 0, 0, 0, 0, 0)}, 1)
@@ -85,17 +84,33 @@ def test_cone_witness_tags_name_the_failing_comparison(monkeypatch, a3):
     # the kernels give point codes, and the witnesses come sorted by point,
     # not by code
     assert [point_code(a, 1) for _, a in cut.witness] == [21, 53, 29]
-    original = verify.strings.strings_in_box
 
-    def oracle(*args):
-        dropped, added = point_code((0, 0, 0, 0, 0, 1), 1), point_code((1, 1, 1, 1, 1, 1), 1)
-        return original(*args) - {dropped} | {added}
 
-    monkeypatch.setattr(verify.strings, "strings_in_box", oracle)
+def test_cone_not_lowered_points_become_sorted_witnesses(monkeypatch, a3):
+    # closure points that fail the lowering certificate fail the second
+    # comparison, under a tag of its own: as NotLowered carries them, in point
+    # order (not code order), the first three as the witness, and only once
+    # the cone and the closure agree
+    q, word = a3
+    normals = gp_cone(build_wiring(word, 3))
+    codes = generate_strings(q.diagram, word, 1)
+    failing = points(sorted(codes, reverse=True)[:4], len(word), 1)
+    raised = []
+
+    def certified(*args):
+        raised.append(NotLowered(generate_strings(*args), failing))
+        raise raised[-1]
+
+    monkeypatch.setattr(verify.strings, "generate_strings", certified)
     r = check_cone(q.diagram, word, normals, 1)
-    assert r.witness == [
-        ("filter_only", (1, 1, 1, 1, 1, 1)), ("filter_rejected", (0, 0, 0, 0, 0, 1))
-    ]
+    assert not r.passed
+    assert r.witness == [("cone_not_lowered", a) for a in sorted(failing)[:3]]
+    assert [point_code(a, 1) for _, a in r.witness] != sorted(point_code(a, 1) for a in failing)[:3]
+    [exc] = raised
+    assert isinstance(exc, InvariantViolation)
+    assert exc.codes == codes and exc.witness == exc.points == failing
+    cut = check_cone(q.diagram, word, normals | {(-1, 0, 0, 0, 0, 0)}, 1)
+    assert [tag for tag, _ in cut.witness] == ["generated_only"] * 3
 
 
 def test_theorem_witness_tags_name_each_side(monkeypatch, a3):
@@ -410,19 +425,14 @@ def test_suite_rank_five_passes_and_rebuilds_each_path_once(monkeypatch):
     assert len(calls) == len(pairs) == 501
 
 
-def test_each_cone_check_searches_its_box_once():
-    # the lowering filter's tie table is the raising one, so of each check's
-    # two kernel calls only the first searches; of the 15 instances of ranks
-    # 1-4, A2 2>1 (word 1,2,1) has the layout and tie table of A2 1>2 (word
-    # 2,1,2) just before it, so its first call finds that search as well
-    _closure.cache_clear()
+def test_each_cone_check_searches_its_box_once(kernel_calls):
+    # the raising closure and the lowering certificate come from one search:
+    # each of the 15 box-2 cone checks of ranks 1-4 calls generate_strings
+    # once, and none calls the lowering filter's search
     assert run_suite(4, 2).ok
-    info = _closure.cache_info()
-    assert (info.misses, info.hits) == (14, 16)
-    _closure.cache_clear()
+    assert kernel_calls == {"generate_strings": 15, "strings_in_box": 0}
     assert check_conjecture(parse_quiver("1>3,2>3,3>4,4>5"), box=1).passed
-    info = _closure.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert kernel_calls == {"generate_strings": 16, "strings_in_box": 0}
 
 
 def test_paths_enumerated_once_per_type():
