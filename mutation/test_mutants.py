@@ -84,6 +84,9 @@ MUTANTS = [
      ["limiting_path", "moves_equal_path_cone", "path_antichain_bijection"]),
     ("turn-onto-wire-i-ge", "wiring.py", "h > i >= l", "h >= i >= l",
      ["path_antichain_bijection"]),
+    ("staircase-stops-early", "wiring.py", "stop = at[k] + 1", "stop = at[k]",
+     ["limiting_path", "path_antichain_bijection", "paths_inside_zone",
+      "zone_border_on_limiting", "zone_positions"]),
     ("u-counts-cominimals", "lusztig.py", "for k in _translates(ar, comin):", "for k in comin:",
      ["move_weight_increment", "moves_equal_path_cone", "path_antichain_bijection",
       "raising_witness", "string_cone_box1"]),

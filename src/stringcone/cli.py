@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure or internal invariant failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -285,6 +286,21 @@ def _run_verify(args) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    The package leaves no cyclic garbage but argparse's and json's, a constant
+    amount per command, so the cyclic collector is paused for the command and
+    left as the caller had it."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

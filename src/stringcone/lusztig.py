@@ -81,6 +81,7 @@ def _table(ar: ARQuiver, i: int) -> _TypeTable:
                     chosen.pop()
 
         extend([], 0, 0, 0)
+        del extend  # empty the cell it reads itself from, so no cycle outlives the call
         found.sort(key=lambda row: (row[0].bit_count(), row[1]))
         index = {mask: j for j, (mask, _) in enumerate(found)}
         entries = {}

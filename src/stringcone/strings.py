@@ -392,6 +392,7 @@ def cone_points_pruned(normals, box: int, dim: int) -> frozenset[int]:
                 partial[t] -= c * v
 
     walk(0, 0)
+    del walk  # empty the cell it reads itself from, so no cycle outlives the call
     return frozenset(out)
 
 

@@ -8,13 +8,13 @@ consecutive crossings of its level, so chamber weights and zones are read from
 the table.  The crossing pairs `pairs` decide both type-i rules: which crossings
 a path may not pass straight through, and which two wires each staircase turn
 joins.  Every staircase path, the limiting path included, is built by one wire
-ride (`_staircase`)."""
+ride (`_staircase`) along a list of wires in which no wire follows itself; the
+crossing where the ride switches wires is read from `crossing`."""
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from itertools import groupby
 from types import MappingProxyType
 
 from .arquiver import ARQuiver
@@ -211,6 +211,7 @@ def _table(wd: WiringDiagram, i: int) -> _TypeTable:
 
     ((first_wire, first_node),) = graph[("l", i + 1)]
     dfs(first_node, first_wire)
+    del dfs  # empty the cell it reads itself from, so no cycle outlives the call
     found.sort(key=lambda p: (p.crossings, p.wires))
     members = {p: (k_vector(wd, p), _turn_positions(p)) for p in found}
     wd.cache[key] = _TypeTable(
@@ -283,21 +284,31 @@ def gp_cone(wd: WiringDiagram, typed: bool = False) -> frozenset:
 
 
 def _staircase(wd: WiringDiagram, i: int, wires: tuple[int, ...]) -> GPPath:
-    """Ride each wire in its type-i direction from the last switch crossing to
-    its crossing with the next wire, then ride the last wire out."""
+    """Ride each wire in its type-i direction from the crossing where the path
+    came onto it (its first crossing, for the first wire) to its crossing with
+    the next wire, then ride the last wire out.  Two consecutive wires that do
+    not cross raise `crossing_of`'s ValueError."""
     rides = _table(wd, i).rides
+    crossing = wd.crossing
     crossings: list[int] = []
     on: list[int] = []
-    for wire, nxt in zip(wires, (*wires[1:], None)):
+    start = 0
+    for wire, nxt in zip(wires, wires[1:]):
         route, at = rides[wire]
-        start = at[crossings[-1]] + 1 if crossings else 0
-        stop = len(route) if nxt is None else at[wd.crossing_of(wire, nxt)] + 1
-        if nxt is not None and stop <= start:
+        k = crossing.get((wire, nxt) if wire < nxt else (nxt, wire))
+        if k is None:
+            raise ValueError(f"wires {wire} and {nxt} do not cross")
+        stop = at[k] + 1
+        if stop <= start:
             raise InvariantViolation(
                 "target crossing is not ahead on the wire", {"wire": wire, "next": nxt}
             )
         crossings += route[start:stop]
         on += [wire] * (stop - start)
+        start = rides[nxt][1][k] + 1
+    route = rides[wires[-1]][0]
+    crossings += route[start:]
+    on += [wires[-1]] * (len(route) - start)
     return GPPath(i, tuple(crossings), (*on, wires[-1]))
 
 
@@ -370,7 +381,8 @@ def antichain_path(wd: WiringDiagram, ar: ARQuiver, a: Antichain) -> GPPath:
 
     Crossing k of the type-i poset swaps a row wire <= i with a column wire
     > i.  The path rides wire i+1, then the column and the row wire of each
-    turn, in the order in which the row wires cross wire i+1, then wire i.
+    turn, in the order in which the row wires cross wire i+1, then wire i; a
+    column wire i+1 or a closing wire i already ridden is not listed twice.
     Raises ValueError, as `lusztig.ideal` does, for an antichain that is not
     among the antichains of its type.
     """
@@ -378,9 +390,16 @@ def antichain_path(wd: WiringDiagram, ar: ARQuiver, a: Antichain) -> GPPath:
         raise NotAdapted("translation quiver and wiring diagram use different words")
     ideal(ar, a)  # the lookup contract of lusztig's readers
     i = a.type_index
-    turns = sorted((wd.crossing[wd.pairs[k - 1][0], i + 1], k) for k in a.positions)
-    wires = [i + 1, *(wire for _, k in turns for wire in reversed(wd.pairs[k - 1])), i]
-    path = _staircase(wd, i, tuple(wire for wire, _ in groupby(wires)))
+    pairs = wd.pairs
+    wires = [i + 1]
+    for _, k in sorted((wd.crossing[pairs[k - 1][0], i + 1], k) for k in a.positions):
+        row, column = pairs[k - 1]
+        if column != wires[-1]:
+            wires.append(column)
+        wires.append(row)
+    if wires[-1] != i:
+        wires.append(i)
+    path = _staircase(wd, i, tuple(wires))
     record = _table(wd, i).members.get(path)
     if record is None or record[1] != a.positions:
         raise InvariantViolation(

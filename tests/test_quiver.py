@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from stringcone.arquiver import build_ar
@@ -180,6 +182,25 @@ def test_condition_d4_scan():
     # exactly the orientation with the branch vertex as a source fails
     assert failing == {"3>1,3>2,3>4"}
     assert condition_L(build_ar(parse_quiver("4>3,3>1,3>2")))
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_condition_L_is_no_inner_source_in_type_d(n):
+    # a second route to condition L in type D_n: it holds exactly when no
+    # vertex of degree >= 2 (the branch vertex or an inner tail vertex) is a
+    # source, which leaves 3n - 5 of the 2^(n-1) orientations
+    d = d_diagram(n)
+    degree = Counter(v for edge in d.edges for v in edge)
+    holds = 0
+    mismatches = []
+    for q in all_orientations(d):
+        sources = {a for a, _ in q.arrows} - {b for _, b in q.arrows}
+        inner_source = any(degree[v] >= 2 for v in sources)
+        if condition_L(build_ar(q)) == inner_source:
+            mismatches.append(quiver_spec(q))
+        holds += not inner_source
+    assert mismatches == []
+    assert holds == 3 * n - 5
 
 
 @pytest.mark.parametrize(

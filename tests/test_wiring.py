@@ -6,6 +6,7 @@ import reference
 from test_verify import _adapted_words
 from stringcone.arquiver import build_ar
 from stringcone.cartan import (
+    InvariantViolation,
     NotReducedW0,
     path_diagram,
     simple_root,
@@ -394,6 +395,16 @@ def test_crossing_of_matches_the_pair_list(n):
         for a, b in ((1, 1), (n + 1, n + 1), (0, 1), (1, n + 2)):
             with pytest.raises(ValueError):
                 wd.crossing_of(a, b)
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_staircase_refuses_a_wire_list_it_cannot_ride(a3_wd, i):
+    # a wire that follows itself meets no crossing to switch at, and a wire
+    # taken up again at the crossing where the ride left it is not ahead
+    with pytest.raises(ValueError, match=f"wires {i + 1} and {i + 1} do not cross"):
+        wiring._staircase(a3_wd, i, (i + 1, i + 1, i))
+    with pytest.raises(InvariantViolation, match="not ahead"):
+        wiring._staircase(a3_wd, i, (i + 1, i, i + 1))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
