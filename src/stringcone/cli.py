@@ -3,6 +3,11 @@ strings and inequality systems, and run the verification checks.
 
 Exit codes: 0 success, 1 verification failure or internal invariant failure,
 2 usage or input errors.
+
+A call builds the argument parser of the command it runs and of no other
+(see `_build_parser`); help, a missing or unknown command and leftover
+arguments are reported by the parser of every command, so usage and error
+text read the same whichever command is named.
 """
 
 from __future__ import annotations
@@ -89,59 +94,95 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_QUIVER = {
+    "--quiver": dict(required=True, help="arrows like '2>1,2>3'"),
+    "--word": dict(default="auto", help="'auto' or letters 'i1,i2,...'"),
+}
+_BOX = dict(type=_nonnegative, default=2)
+
+
+def _output(*formats) -> dict:
+    return {
+        "--format": dict(dest="fmt", default=formats[0], choices=formats),
+        "--out": dict(default=None, help="write output atomically to this path"),
+    }
+
+
+# (name, help, options): options maps each option string to its add_argument
+# keywords in the order usage lists them, or is the table of a command's
+# subcommands; verify's kinds carry no help, so `verify -h` lists names only
+_VERIFY_KINDS = (
+    ("theorem", None, {
+        **_QUIVER, **_output("pretty", "json"),
+        "--strict": dict(action="store_true", help="compare move sets with type tags"),
+    }),
+    ("cone", None, {**_QUIVER, **_output("pretty", "json"), "--box": _BOX}),
+    ("conjecture", None, {**_QUIVER, **_output("pretty", "json"), "--box": _BOX}),
+    ("suite", None, {
+        "--max-rank": dict(type=_nonnegative, default=4), "--box": _BOX,
+        **_output("pretty", "json"),
+    }),
+)
+_COMMANDS = (
+    ("roots", "positive roots in the word ordering",
+     {**_QUIVER, **_output("pretty", "json", "tsv")}),
+    ("ar", "translation quiver", {**_QUIVER, **_output("dot", "json")}),
+    ("hammock", "hammock and its map-to-simple subposet", {
+        **_QUIVER, **_output("json"), "--type-index": dict(type=int, required=True),
+    }),
+    ("moves", "antichain move table", {**_QUIVER, **_output("tsv", "json", "pretty")}),
+    ("gp", "oriented wiring paths and contribution vectors", {
+        **_QUIVER, **_output("json"), "--type-index": dict(type=int, default=None),
+    }),
+    ("inequalities", "cone inequality system", {
+        **_QUIVER, **_output("pretty", "json"),
+        "--source": dict(default="moves", choices=["gp", "moves"]),
+    }),
+    ("strings", "string parameters inside a box", {
+        **_QUIVER, **_output("json"), "--box": dict(type=_nonnegative, required=True),
+    }),
+    ("crystal", "crystal graph to a depth", {
+        **_QUIVER, **_output("json"),
+        "--depth": dict(type=_nonnegative, required=True),
+        "--param": dict(default="lusztig", choices=["lusztig", "string"]),
+    }),
+    ("wiring", "wiring diagram layout", {**_QUIVER, **_output("dot")}),
+    ("verify", "verification checks", _VERIFY_KINDS),
+)
+
+
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of the command argv names, or of every command.
+
+    Only the parsers on argv's path get their arguments: the top-level one,
+    the command's, and for verify the kind's.  Reading the command from
+    argv[0] and the kind from argv[1] is sound because neither the top-level
+    parser nor verify's takes an option with a value, so no earlier token can
+    be an option's argument.  Every command is built when argv is None or
+    names none (help, `--`, a missing or unknown command), and every kind when
+    argv names verify and no kind: the output of those cases lists them all.
+    """
     parser = argparse.ArgumentParser(
         prog="stringcone",
         description="crystal moves, string cones, and their cross verification",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def output(p, formats):
-        p.add_argument("--format", dest="fmt", default=formats[0], choices=formats)
-        p.add_argument("--out", default=None, help="write output atomically to this path")
-
-    def common(p, formats):
-        p.add_argument("--quiver", required=True, help="arrows like '2>1,2>3'")
-        p.add_argument("--word", default="auto", help="'auto' or letters 'i1,i2,...'")
-        output(p, formats)
-
-    p = sub.add_parser("roots", help="positive roots in the word ordering")
-    common(p, ("pretty", "json", "tsv"))
-    common(sub.add_parser("ar", help="translation quiver"), ("dot", "json"))
-    p = sub.add_parser("hammock", help="hammock and its map-to-simple subposet")
-    common(p, ("json",))
-    p.add_argument("--type-index", type=int, required=True)
-    common(sub.add_parser("moves", help="antichain move table"), ("tsv", "json", "pretty"))
-    p = sub.add_parser("gp", help="oriented wiring paths and contribution vectors")
-    common(p, ("json",))
-    p.add_argument("--type-index", type=int, default=None)
-    p = sub.add_parser("inequalities", help="cone inequality system")
-    common(p, ("pretty", "json"))
-    p.add_argument("--source", default="moves", choices=["gp", "moves"])
-    p = sub.add_parser("strings", help="string parameters inside a box")
-    common(p, ("json",))
-    p.add_argument("--box", type=_nonnegative, required=True)
-    p = sub.add_parser("crystal", help="crystal graph to a depth")
-    common(p, ("json",))
-    p.add_argument("--depth", type=_nonnegative, required=True)
-    p.add_argument("--param", default="lusztig", choices=["lusztig", "string"])
-    common(sub.add_parser("wiring", help="wiring diagram layout"), ("dot",))
-
-    kinds = sub.add_parser("verify", help="verification checks").add_subparsers(
-        dest="kind", required=True
-    )
-    p = kinds.add_parser("theorem")
-    common(p, ("pretty", "json"))
-    p.add_argument("--strict", action="store_true", help="compare move sets with type tags")
-    for kind in ("cone", "conjecture"):
-        p = kinds.add_parser(kind)
-        common(p, ("pretty", "json"))
-        p.add_argument("--box", type=_nonnegative, default=2)
-    p = kinds.add_parser("suite")
-    p.add_argument("--max-rank", type=_nonnegative, default=4)
-    p.add_argument("--box", type=_nonnegative, default=2)
-    output(p, ("pretty", "json"))
+    _add_commands(parser, "command", _COMMANDS, argv)
     return parser
+
+
+def _add_commands(parent, dest, table, argv) -> None:
+    """Add table's commands to parent: only the one argv[0] names, if any."""
+    sub = parent.add_subparsers(dest=dest, required=True)
+    named = argv[0] if argv and any(row[0] == argv[0] for row in table) else None
+    for name, help_text, options in table:
+        if named not in (None, name):
+            continue
+        p = sub.add_parser(name, **({"help": help_text} if help_text else {}))
+        if isinstance(options, dict):
+            for flag, keywords in options.items():
+                p.add_argument(flag, **keywords)
+        else:
+            _add_commands(p, "kind", options, argv[1:] if named else None)
 
 
 def _dispatch(args) -> tuple[str, int]:
@@ -286,7 +327,7 @@ def _run_verify(args) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code.
+    """Run one command and return its exit code; argv None reads sys.argv[1:].
 
     The package leaves no cyclic garbage but argparse's and json's, a constant
     amount per command, so the cyclic collector is paused for the command and
@@ -301,9 +342,12 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args, leftover = _build_parser(argv).parse_known_args(argv)
+        if leftover:  # the full parser reports them, with the usage of every command
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -1,8 +1,10 @@
+import argparse
 import hashlib
 import json
 
 import pytest
 
+from stringcone import cli
 from stringcone.cli import main
 
 D4_FIFTEEN = """t1>=0
@@ -389,3 +391,64 @@ def test_unsupported_option_exits_two(capsys, argv):
 @pytest.mark.parametrize("label", ["9" * 5000, "\u00b2"], ids=["5000-digits", "superscript-two"])
 def test_a_label_int_cannot_read_exits_two(capsys, label):
     assert run(capsys, "roots", "--quiver", f"{label}>1")[:2] == (2, "")
+
+
+# a valid argument list of every command and verify kind, and the integer
+# option it takes, if any
+ARGUMENTS = {
+    "roots": ("--quiver 2>1", None),
+    "ar": ("--quiver 2>1", None),
+    "hammock": ("--quiver 2>1 --type-index 1", "--type-index"),
+    "moves": ("--quiver 2>1", None),
+    "gp": ("--quiver 2>1", "--type-index"),
+    "inequalities": ("--quiver 2>1", None),
+    "strings": ("--quiver 2>1 --box 1", "--box"),
+    "crystal": ("--quiver 2>1 --depth 1", "--depth"),
+    "wiring": ("--quiver 2>1", None),
+    "verify theorem": ("--quiver 2>1", None),
+    "verify cone": ("--quiver 2>1 --box 1", "--box"),
+    "verify conjecture": ("--quiver 2>1 --box 1", "--box"),
+    "verify suite": ("--max-rank 1 --box 0", "--max-rank"),
+}
+USAGE_CASES = [
+    "", "-h", "--he", "no-such-command", "-- roots --quiver 2>1",
+    "verify", "verify -h", "verify no-such-kind", "verify -- suite",
+    *(
+        case
+        for command, (args, integer) in ARGUMENTS.items()
+        for case in (
+            command, f"{command} -h", f"{command} {args} --no-such-option",
+            f"{command} {args} extra", f"{command} {args} --format bad",
+            *([f"{command} {args} {integer} x"] if integer else []),
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES, ids=[repr(a) for a in USAGE_CASES])
+def test_selected_parser_reads_like_the_full_one(capsys, monkeypatch, argv):
+    # exit code, stdout and stderr (help, usage and errors) match the parser
+    # of every command, including the usage that reports leftover arguments
+    selected = run(capsys, *argv.split())
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv=None: full())
+    assert run(capsys, *argv.split()) == selected
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    *((f"{command} {args}", 3 if command.startswith("verify") else 2)
+      for command, (args, _) in ARGUMENTS.items()),
+    ("-h", 15),
+    ("no-such-command --quiver 2>1", 15),
+])
+def test_only_the_named_command_is_built(capsys, monkeypatch, argv, parsers):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    run(capsys, *argv.split())
+    assert len(built) == parsers
