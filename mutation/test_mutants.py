@@ -78,8 +78,10 @@ MUTANTS = [
      ["string_cone_box1"]),
     ("lower-at-zero-max", "strings.py", "if low is None and top > 0:",
      "if low is None and top >= 0:", ["string_cone_box1"]),
-    ("closure-box-gate-le", "strings.py", "if s[n + k] < box:\n                c = code",
-     "if s[n + k] <= box:\n                c = code", ["string_cone_box1"]),
+    ("closure-box-gate-le", "strings.py", "if s[n + k] < box:", "if s[n + k] <= box:",
+     ["string_cone_box1"]),
+    ("certificate-stack-order", "strings.py", "code, s = queue.popleft()",
+     "code, s = queue.pop()", ["string_cone_box1"]),
     ("k-vector-drop-ge", "wiring.py", "if h > l:", "if h >= l:",
      ["limiting_path", "moves_equal_path_cone", "path_antichain_bijection"]),
     ("turn-onto-wire-i-ge", "wiring.py", "h > i >= l", "h >= i >= l",

@@ -4,18 +4,19 @@ test, brute-force string-set generation, and integer cone point utilities.
 The three box kernels (`generate_strings`, `strings_in_box`,
 `cone_points_pruned`) return the integer codes of their points (see
 `_weights`); `points` is the one decoder.  `generate_strings` is the raising
-closure of zero, found by one scan per letter per point, and in the same pass
-it runs the lowering certificate on every point it reaches, by the lowering
-rule's own choice of letter and position; a cone check runs this one search.
-`strings_in_box` is the lowering filter, a box search of its own over lowering
-edges, which the tests hold against the closure.  `is_string` walks the one
-greedy lowering path of a point; its docstring proves why that decides
-membership, and the tests run it over whole boxes: A1-A3 at box 3 where the box
-has at most 5,000 points, A3 `2>1,2>3` at box 4, D4 at box 1, and ranks up to
-2 at boxes 3-4."""
+closure of zero, found level by level with one scan per letter per point, and
+in the same pass it certifies each point as the point leaves the queue, by the
+lowering rule's own choice of letter and position; a cone check runs this one
+search.  `strings_in_box` is the lowering filter, a box search of its own that
+accepts a + e_k when the lowering rule read at a + e_k picks k, which the tests
+hold against the closure.  `is_string` walks the one greedy lowering path of
+a point; its docstring proves why that decides membership, and the tests run
+it over whole boxes: A1-A3 at box 3 where the box has at most 5,000 points, A3
+`2>1,2>3` at box 4, D4 at box 1, and ranks up to 2 at boxes 3-4."""
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 
 from .cartan import DynkinDiagram, InvariantViolation, cartan_matrix
@@ -188,49 +189,32 @@ def strings_in_box(d: DynkinDiagram, word, box: int) -> frozenset[int]:
     a string, and a lowering that subtracts e_k is b's first maximum of r among
     the positions of letter word[k].  So from each accepted a, the point
     b = a + e_k is accepted exactly when k is that first maximum of r(b): the
-    lowering tie rule applied at b, never the raising rule at a.
-
-    The rule is read on r(a) at the letter's positions.  Raising a_k adds a
-    fixed step d_p to each r_p, so k is the first maximum of r(b) iff
-    r(a)_p + d_p - d_k + 1 <= r(a)_k at each earlier position p of the letter
-    and r(a)_p + d_p - d_k <= r(a)_k at each later one; `ties[k]` holds these
-    (p, offset) pairs.
+    lowering rule read at b, never the raising rule at a.
 
     This is the lowering filter, a box search of its own that the tests hold
     against `generate_strings` and `is_string`; a cone check runs the lowering
     certificate of `generate_strings` instead.  Each point of the search is its
-    code and one list, r in slots 0..N-1 and a in slots N..2N-1; a stepped-to
-    point is looked up by its code among the codes found so far, and only a new
-    one gets a list.
+    code and its r; a stepped-to point is looked up by its code among the codes
+    found so far, and only a new one gets r(b), kept when the rule accepts it.
     """
     word = tuple(word)
     groups, rows = _layout(d, word)
     if box < 0:
         return frozenset()  # [0..box]^N has no points
     n = len(word)
-    ties = [None] * n
-    for ps in groups:
-        for k in ps:
-            step = _bump([0] * n, rows[k], k, 1)
-            ties[k] = [(p, step[p] - step[k] + (1 if p < k else 0)) for p in ps if p != k]
+    own = {k: ps for ps in groups for k in ps}  # each position's letter's positions
     weight = _weights(n, box)
     codes = {0}
-    stack = [(0, [0] * (2 * n))]
+    stack = [(0, [0] * n)]
     while stack:
-        code, s = stack.pop()
-        for k, tie in enumerate(ties):
-            if s[n + k] < box:
-                top = s[k]
-                for p, offset in tie:
-                    if s[p] + offset > top:
-                        break
-                else:
-                    c = code + weight[k]
-                    if c not in codes:
-                        codes.add(c)
-                        t = s.copy()
-                        t[n + k] += 1
-                        stack.append((c, _bump(t, rows[k], k, 1)))
+        code, r = stack.pop()
+        for k, w in enumerate(weight):
+            c = code + w
+            if code // w % (box + 1) < box and c not in codes:  # a_k < box, read off the code
+                t = _bump(r.copy(), rows[k], k, 1)
+                if _argmax(t, own[k]) == k:
+                    codes.add(c)
+                    stack.append((c, t))
     return frozenset(codes)
 
 
@@ -254,12 +238,14 @@ def generate_strings(d: DynkinDiagram, word, box: int) -> frozenset[int]:
     nonzero point b it takes the first letter whose maximum of r(b) is
     positive, and that letter's first maximum k, found by a scan of its own up
     from the letter's first position; b_k > 0 is required, and b - e_k must be
-    among the searched codes, which is tested once for all points after the
-    search.  When every point passes, each point lowers to zero by the lowering
-    rule alone, one step at a time (by induction on sum(b), since b - e_k is
-    again a point of the set), so the set is pinned by both rules: see
-    `is_string` for why they agree.  Otherwise NotLowered is raised, carrying
-    the codes and the failing points.
+    among the codes found so far.  The search runs level by level in sum(b),
+    first in first out, so when b leaves the queue every point one level down
+    has been found, and b - e_k is found exactly when it is in the closure.
+    When every point passes, each point lowers to zero by the lowering rule
+    alone, one step at a time (by induction on sum(b), since b - e_k is again
+    a point of the set), so the set is pinned by both rules: see `is_string`
+    for why they agree.  Otherwise NotLowered is raised, carrying the codes and
+    the failing points.
     """
     word = tuple(word)
     groups, rows = _layout(d, word)
@@ -271,10 +257,10 @@ def generate_strings(d: DynkinDiagram, word, box: int) -> frozenset[int]:
     # all of them from the first up
     scans = [(ps[-1], ps[-2::-1], ps) for ps in groups]
     codes = {0}
-    lowered = {}  # each nonzero point's code -> its lowering's code, -1 for none
-    stack = [(0, [0] * (2 * n))]
-    while stack:
-        code, s = stack.pop()
+    failing = []
+    queue = deque([(0, [0] * (2 * n))])
+    while queue:
+        code, s = queue.popleft()
         low = None
         for k, down, ps in scans:
             top = s[k]
@@ -291,11 +277,10 @@ def generate_strings(d: DynkinDiagram, word, box: int) -> frozenset[int]:
                     codes.add(c)
                     t = s.copy()
                     t[n + k] += 1
-                    stack.append((c, _bump(t, rows[k], k, 1)))
-        if code:
-            lowered[code] = code - weight[low] if low is not None and s[n + low] else -1
-    if not codes.issuperset(lowered.values()):
-        failing = [b for b, c in lowered.items() if c not in codes]
+                    queue.append((c, _bump(t, rows[k], k, 1)))
+        if code and (low is None or not s[n + low] or code - weight[low] not in codes):
+            failing.append(code)
+    if failing:
         raise NotLowered(frozenset(codes), points(failing, n, box))
     return frozenset(codes)
 

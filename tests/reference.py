@@ -220,6 +220,32 @@ def lowers_to_zero(d, word, a) -> bool:
     return False
 
 
+def not_lowered(cm, word, found) -> list[tuple[int, ...]]:
+    """The nonzero points of `found` that fail the lowering certificate under
+    the Cartan matrix cm, sorted.  At each point a, r_k = a_k +
+    sum_{j<k} c_{i_j, i_k} a_j is computed from its definition; the greedy step
+    takes the first letter, ascending, whose maximum of r over its positions is
+    positive, and that letter's first position k of the maximum.  The point
+    passes when there is such a letter, a_k > 0 and a - e_k is in `found`."""
+    found = set(found)
+    out = []
+    for a in found:
+        if not any(a):
+            continue
+        r = [a[k] + sum(cm[word[j] - 1][word[k] - 1] * a[j] for j in range(k))
+             for k in range(len(a))]
+        step = None
+        for letter in sorted(set(word)):
+            ps = [k for k, x in enumerate(word) if x == letter]
+            top = max(r[p] for p in ps)
+            if top > 0:
+                step = next(p for p in ps if r[p] == top)
+                break
+        if step is None or not a[step] or a[:step] + (a[step] - 1,) + a[step + 1:] not in found:
+            out.append(a)
+    return sorted(out)
+
+
 def same_labelled_graph(g1, g2) -> bool:
     """Whether the forced source-to-source vertex matching is a graph isomorphism.
 

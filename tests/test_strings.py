@@ -15,8 +15,10 @@ from stringcone.quiver import (
     parse_quiver,
     quiver_spec,
 )
+from stringcone import strings
 from stringcone.strings import (
     LetterAbsent,
+    NotLowered,
     _layout,
     cone_points_pruned,
     generate_strings,
@@ -35,6 +37,7 @@ from stringcone.strings import (
 from reference import (
     cone_points,
     lowers_to_zero,
+    not_lowered,
     point_code,
     same_labelled_graph,
     string_weight,
@@ -297,8 +300,46 @@ def test_greedy_lowering_path_decides_like_every_path(spec, box):
     d, word = q.diagram, adapted_word(q)
     box_points = list(product(range(box + 1), repeat=len(word)))
     greedy = [is_string(d, word, a) for a in box_points]
-    assert greedy == [lowers_to_zero(d, word, a) for a in box_points]
+    every = [lowers_to_zero(d, word, a) for a in box_points]
+    assert greedy == every
     assert 0 < sum(greedy) < len(box_points)
+    # and the lowering filter's box search against the same search
+    assert filtered_points(d, word, box) == {a for a, ok in zip(box_points, every) if ok}
+
+
+def doctored_cartan(d, diagonal):
+    """The Cartan matrix of d with every diagonal entry set to `diagonal`."""
+    return tuple(
+        tuple(diagonal if i == j else c for j, c in enumerate(row))
+        for i, row in enumerate(cartan_matrix(d))
+    )
+
+
+@pytest.mark.parametrize("diagonal", [1, 3])
+def test_certificate_failures_match_the_reference(diagonal):
+    # fact 1 of is_string needs c_ii = 2: with another diagonal raising and
+    # lowering are no longer inverse, and the closure has points that do not
+    # lower; NotLowered must carry exactly the reference certificate's failures
+    cases = [
+        (q.diagram, adapted_word(q)) for n in (2, 3) for q in all_orientations(path_diagram(n))
+    ]
+    failures = []
+    _layout.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(strings, "cartan_matrix", lambda d: doctored_cartan(d, diagonal))
+            for d, word in cases:
+                try:
+                    codes, failing = generate_strings(d, word, 2), []
+                except NotLowered as exc:
+                    codes, failing = exc.codes, exc.points
+                    assert failing
+                found = points(codes, len(word), 2)
+                assert failing == not_lowered(doctored_cartan(d, diagonal), word, found)
+                failures.append(len(failing))
+    finally:
+        _layout.cache_clear()  # later tests must not read the doctored rows
+    assert any(failures), failures
 
 
 def closure_by_string_e(d, word, box):
@@ -317,7 +358,7 @@ def closure_by_string_e(d, word, box):
 
 
 def test_generate_strings_is_the_string_e_closure(d4):
-    # the raising tie table against the per-point raising rule
+    # the raising closure's scan against the per-point raising rule
     cases = [(q, adapted_word(q), 3) for n in (1, 2, 3) for q in all_orientations(path_diagram(n))]
     cases.append((*d4, 2))
     sizes = []
