@@ -71,7 +71,9 @@ MUTANTS = [
      ["string_cone_box1"]),
     ("cone-sum-not-taken-back", "strings.py", "partial[t] -= c * v", "partial[t] -= 0",
      ["string_cone_box1"]),
-    ("cone-code-step-unweighted", "strings.py", "code + v * w", "code + v",
+    ("cone-code-step-unweighted", "strings.py", "code = codes[k] = codes[k] + weight[k]",
+     "code = codes[k] = codes[k] + 1", ["string_cone_box1"]),
+    ("cone-last-range-short", "strings.py", "code + hi * w_last + 1", "code + hi * w_last",
      ["string_cone_box1"]),
     ("raise-scan-ge", "strings.py", "if s[p] > top:", "if s[p] >= top:", ["string_cone_box1"]),
     ("lower-last-max", "strings.py", "for low in ps:", "for low in reversed(ps):",

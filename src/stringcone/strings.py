@@ -9,10 +9,13 @@ in the same pass it certifies each point as the point leaves the queue, by the
 lowering rule's own choice of letter and position; a cone check runs this one
 search.  `strings_in_box` is the lowering filter, a box search of its own that
 accepts a + e_k when the lowering rule read at a + e_k picks k, which the tests
-hold against the closure.  `is_string` walks the one greedy lowering path of
-a point; its docstring proves why that decides membership, and the tests run
-it over whole boxes: A1-A3 at box 3 where the box has at most 5,000 points, A3
-`2>1,2>3` at box 4, D4 at box 1, and ranks up to 2 at boxes 3-4."""
+hold against the closure.  `cone_points_pruned` walks the coordinates depth
+first in one loop, bounding each from the inequalities' running sums, and
+emits the last coordinate's values as one range of codes, so no step is taken
+per point.  `is_string` walks the one greedy lowering path of a point; its
+docstring proves why that decides membership, and the tests run it over whole
+boxes: A1-A3 at box 3 where the box has at most 5,000 points, A3 `2>1,2>3` at
+box 4, D4 at box 1, and ranks up to 2 at boxes 3-4."""
 
 from __future__ import annotations
 
@@ -324,61 +327,89 @@ def cone_points_pruned(normals, box: int, dim: int) -> frozenset[int]:
     """The codes (see `_weights`) of the integer points of the box [0..box]^dim
     satisfying every inequality.
 
-    A coordinate search.  Each nonzero normal is kept as its support, grouped
-    by its last supporting coordinate k with c_k apart.  Once x_0..x_{k-1} are
-    set, such an inequality reads partial + c_k * x_k >= 0, so it bounds x_k
-    exactly: x_k >= ceil(-partial / c_k) when c_k > 0 and
-    x_k <= floor(partial / -c_k) when c_k < 0, both by integer floor division.
-    Each normal's partial is a running sum: setting x_j adds c_j * x_j to the
-    partial of every normal with j in its support before k, and backtracking
-    takes it off again.  Each node reads its bounds from those sums, stops as
-    soon as they cross, and loops over the values between them, carrying the
-    running code of x_0..x_{k-1}; each leaf emits its code.
+    A coordinate search, walked depth first in one loop.  Each nonzero normal
+    is kept as its support, grouped by its last supporting coordinate k with
+    c_k apart.  Once x_0..x_{k-1} are set, such an inequality reads
+    partial + c_k * x_k >= 0, so it bounds x_k exactly:
+    x_k >= ceil(-partial / c_k) when c_k > 0 and x_k <= floor(partial / -c_k)
+    when c_k < 0, each by one integer floor division, with a coordinate's lower
+    and upper bounds in two lists.  Each normal's partial is a running sum:
+    setting x_j to the lowest value its bounds allow adds c_j * x_j to the
+    partial of every normal with j in its support before k, each step to the
+    next value adds c_j, and backtracking takes c_j * x_j off once.  The value,
+    upper bound and code of each set coordinate sit in three lists.  The last
+    coordinate is never set: its values between the bounds are emitted as one
+    range of codes.
     """
     normals = [tuple(v) for v in normals]
     for normal in normals:
         if len(normal) != dim:
             raise ValueError("dimension mismatch between box and normal")
-    # normal t's running partial is partial[t]; bounds[k] holds (t, c_k) for
-    # each normal whose last support is k, terms[j] holds (t, c_j) for each
-    # normal with j in its support before that
-    bounds: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
+    if not dim:
+        return frozenset((0,))  # the empty point, which every normal admits
+    # normal t's running partial is partial[t]; lower[k] holds (t, c_k) for
+    # each normal whose last support is k with c_k > 0, upper[k] holds
+    # (t, -c_k) for those with c_k < 0, and terms[j] holds (t, c_j) for each
+    # normal with j in its support before its last
+    lower: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
+    upper: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
     terms: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
     partial: list[int] = []
     for normal in normals:
         support = [(j, c) for j, c in enumerate(normal) if c]
         if support:
             k, c_k = support.pop()
-            bounds[k].append((len(partial), c_k))
+            if c_k > 0:
+                lower[k].append((len(partial), c_k))
+            else:
+                upper[k].append((len(partial), -c_k))
             for j, c in support:
                 terms[j].append((len(partial), c))
             partial.append(0)
     weight = _weights(dim, box)
+    last = dim - 1
+    w_last = weight[last]
+    value = [0] * last  # x_j of each set coordinate j < last
+    top = [0] * last  # its upper bound
+    codes = [0] * last  # the code of x_0..x_j
     out: list[int] = []
-
-    def walk(k: int, code: int) -> None:
-        if k == dim:
-            out.append(code)
-            return
+    k, code = 0, 0  # the coordinate to bound next, and the code of x_0..x_{k-1}
+    while True:
         lo, hi = 0, box
-        for t, c_k in bounds[k]:
-            if c_k > 0:
-                lo = max(lo, -(partial[t] // c_k))
+        for t, c in lower[k]:
+            b = -(partial[t] // c)
+            if b > lo:
+                lo = b
+        for t, c in upper[k]:
+            b = partial[t] // c
+            if b < hi:
+                hi = b
+        if lo <= hi:
+            if k == last:
+                out.extend(range(code + lo * w_last, code + hi * w_last + 1, w_last))
             else:
-                hi = min(hi, partial[t] // -c_k)
-            if lo > hi:
-                return
-        w = weight[k]
-        for v in range(lo, hi + 1):
-            for t, c in terms[k]:
-                partial[t] += c * v
-            walk(k + 1, code + v * w)
+                for t, c in terms[k]:
+                    partial[t] += c * lo
+                value[k], top[k] = lo, hi
+                code = codes[k] = code + lo * weight[k]
+                k += 1
+                continue
+        # back up to the deepest set coordinate with a value left, taking the
+        # exhausted ones off the running sums
+        while True:
+            k -= 1
+            if k < 0:
+                return frozenset(out)
+            v = value[k]
+            if v < top[k]:
+                break
             for t, c in terms[k]:
                 partial[t] -= c * v
-
-    walk(0, 0)
-    del walk  # empty the cell it reads itself from, so no cycle outlives the call
-    return frozenset(out)
+        value[k] = v + 1
+        for t, c in terms[k]:
+            partial[t] += c
+        code = codes[k] = codes[k] + weight[k]
+        k += 1
 
 
 def pretty_inequality(vec) -> str:

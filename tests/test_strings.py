@@ -448,13 +448,20 @@ def test_in_cone_examples():
         in_cone((1, 0), K)
     with pytest.raises(ValueError, match="dimension mismatch"):
         cone_points_pruned([(1, 0, 0), (1, 0)], 1, 3)
+    # no coordinate: the empty point, whatever the box; one coordinate and a
+    # negative box: no point
+    for box in (-1, 0, 2):
+        assert cone_points_pruned([], box, 0) == frozenset({0})
+    assert cone_points_pruned([(1,)], -1, 1) == frozenset()
 
 
 @given(st.data())
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=60)
 def test_pruned_scan_matches_naive(data):
-    dim = data.draw(st.integers(2, 4))
-    box = data.draw(st.integers(0, 3))
+    # up to dimension 6, so the last coordinate's code range and backtracking
+    # over several set coordinates both meet the full scan
+    dim = data.draw(st.integers(0, 6))
+    box = data.draw(st.integers(0, 3 if dim <= 4 else 2))
     normals = data.draw(
         st.lists(
             st.tuples(*[st.integers(-2, 2) for _ in range(dim)]),
