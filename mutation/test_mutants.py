@@ -57,6 +57,11 @@ MUTANTS = [
     ("cominimal-any-meet", "lusztig.py", "down[x] & rest == 1 << x", "down[x] & rest",
      ["move_weight_increment", "moves_equal_path_cone", "path_antichain_bijection",
       "raising_witness", "string_cone_box1"]),
+    ("antichain-incomparable-above", "lusztig.py",
+     "if not (ideal_mask >> cand & 1 or down[cand] & chosen_mask):",
+     "if not ideal_mask >> cand & 1:",
+     ["move_weight_increment", "moves_equal_path_cone", "path_antichain_bijection",
+      "raising_witness"]),
     ("chamber-weight-double", "wiring.py", "out[j - 2] -= 1", "out[j - 2] -= 2",
      ["chamber_weights", "lambda_plus_column_map", "membership_pairing"]),
     ("forward-wire-ge", "wiring.py", "return wire > i", "return wire >= i",

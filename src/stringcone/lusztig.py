@@ -8,10 +8,11 @@ Each type's antichains and their data form one table per translation quiver,
 in (ideal size, positions) order.  Removing an antichain's last position from
 its ideal leaves the ideal of an earlier antichain, or nothing, so each F_A is
 an earlier F plus one term: `maximal_antichain` evaluates every F_A of a type
-in one pass along these ladder steps, while `f_value` sums over the ideal.
-The readers `ideal`, `cominimals`, `move`, `u_vector` and `f_value` look an
-antichain up in the table and raise ValueError for one not in
-`antichains(ar, i)`.
+in one pass along these ladder steps, while `f_value` sums over the ideal,
+which an entry keeps only as a bitmask: `ideal` reads its positions off the
+mask in ascending order.  The readers `ideal`, `cominimals`, `move`,
+`u_vector` and `f_value` look an antichain up in the table and raise
+ValueError for one not in `antichains(ar, i)`.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ class Antichain(namedtuple("Antichain", "type_index positions")):
     __slots__ = ()
 
 
-class _Entry(namedtuple("_Entry", "ideal cominimals move u mask")):
-    """One antichain A of a type table: its order ideal, complement minimals,
-    move vector and u-vector, and the ideal as a bitmask (bit k for position k)."""
+class _Entry(namedtuple("_Entry", "cominimals move u mask")):
+    """One antichain A of a type table: its complement minimals, move vector and
+    u-vector, and its order ideal as a bitmask (bit k for position k)."""
 
     __slots__ = ()
 
@@ -56,37 +57,34 @@ def _table(ar: ARQuiver, i: int) -> _TypeTable:
     step; built once per translation quiver and type.
 
     Each ground element has a down-set bitmask, its `ar.down` mask cut to the
-    ground.  An ideal is the OR of its positions' down-sets, a candidate is
+    ground.  An ideal is the OR of its positions' down-sets, and a candidate is
     incomparable with the chosen positions when it is outside their ideal and
-    its down-set misses them, and an element of the rest is a complement
-    minimal when its down-set meets the rest only in itself.  The u-vector
-    counts the translates of the complement minimals, and the move is +1 on A
-    minus the u-vector.
+    its down-set misses them.  The antichains come from one list that grows
+    as it is read: each row appends the rows that add one later candidate.
+    One scan of the ground per antichain finds the complement minimals, the
+    elements of the rest whose down-set meets the rest only in themselves.
+    The u-vector counts their translates, and the move is +1 on A minus the
+    u-vector.
     """
     key = ("antichains", i)
     if key not in ar.cache:
         ground = ar.p_set(i)
         everything = sum(1 << x for x in ground)
         down = {x: ar.down[x - 1] & everything for x in ground}
-        found: list[tuple[int, tuple[int, ...]]] = []  # (ideal mask, positions)
-
-        def extend(chosen: list[int], chosen_mask: int, ideal_mask: int, start: int) -> None:
-            if chosen:
-                found.append((ideal_mask, tuple(chosen)))
+        # rows (ideal mask, chosen mask, positions, next candidate index), the
+        # empty antichain first; reading a row appends its one-larger extensions
+        found = [(0, 0, (), 0)]
+        for ideal_mask, chosen_mask, positions, start in found:
             for idx in range(start, len(ground)):
                 cand = ground[idx]
                 if not (ideal_mask >> cand & 1 or down[cand] & chosen_mask):
-                    chosen.append(cand)
-                    extend(chosen, chosen_mask | 1 << cand, ideal_mask | down[cand], idx + 1)
-                    chosen.pop()
-
-        extend([], 0, 0, 0)
-        del extend  # empty the cell it reads itself from, so no cycle outlives the call
-        found.sort(key=lambda row: (row[0].bit_count(), row[1]))
-        index = {mask: j for j, (mask, _) in enumerate(found)}
+                    found.append((ideal_mask | down[cand], chosen_mask | 1 << cand,
+                                  positions + (cand,), idx + 1))
+        found = sorted(found[1:], key=lambda row: (row[0].bit_count(), row[2]))
+        index = {row[0]: j for j, row in enumerate(found)}
         entries = {}
         steps = []
-        for mask, positions in found:
+        for mask, _, positions, _ in found:
             a = Antichain(i, positions)
             rest = everything & ~mask
             comin = tuple(x for x in ground if rest >> x & 1 and down[x] & rest == 1 << x)
@@ -96,9 +94,7 @@ def _table(ar: ARQuiver, i: int) -> _TypeTable:
             vec = list(map(neg, u))
             for k in positions:
                 vec[k - 1] += 1
-            entries[a] = _Entry(
-                tuple(x for x in ground if mask >> x & 1), comin, tuple(vec), tuple(u), mask
-            )
+            entries[a] = _Entry(comin, tuple(vec), tuple(u), mask)
             x = positions[-1]
             below = mask & ~(1 << x)
             if not below:
@@ -131,14 +127,15 @@ def antichains(ar: ARQuiver, i: int) -> tuple[Antichain, ...]:
 
 def antichain_rows(ar: ARQuiver, i: int) -> Iterator[tuple]:
     """Each antichain of `antichains(ar, i)`, in that order, as the tuple
-    (antichain, ideal, cominimals, move, u-vector)."""
+    (antichain, cominimals, move, u-vector)."""
     for a, e in _table(ar, i).rows:
-        yield a, e.ideal, e.cominimals, e.move, e.u
+        yield a, e.cominimals, e.move, e.u
 
 
 def ideal(ar: ARQuiver, a: Antichain) -> tuple[int, ...]:
-    """Order ideal generated by the antichain inside its poset."""
-    return _entry(ar, a).ideal
+    """Order ideal generated by the antichain inside its poset, ascending."""
+    mask = _entry(ar, a).mask
+    return tuple(x for x in ar.p_set(a.type_index) if mask >> x & 1)
 
 
 def cominimals(ar: ARQuiver, a: Antichain) -> tuple[int, ...]:
@@ -173,7 +170,7 @@ def _check_length(ar: ARQuiver, t) -> None:
 def f_value(ar: ARQuiver, a: Antichain, t) -> int:
     """Sum over the ideal of t_k minus t at the translate (zero for projectives)."""
     _check_length(ar, t)
-    return sum(t[k - 1] - (t[ar.tau[k] - 1] if k in ar.tau else 0) for k in _entry(ar, a).ideal)
+    return sum(t[k - 1] - (t[ar.tau[k] - 1] if k in ar.tau else 0) for k in ideal(ar, a))
 
 
 def maximal_antichain(ar: ARQuiver, i: int, t) -> Antichain:

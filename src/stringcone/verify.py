@@ -223,7 +223,7 @@ def raising_witness(ar, wd):
     # witness property: raising the translated-minimals module applies the move
     bad = []
     for i in range(1, ar.n + 1):
-        for a, _, comin, mv, t_u in lusztig.antichain_rows(ar, i):
+        for a, comin, mv, t_u in lusztig.antichain_rows(ar, i):
             expected = tuple(map(add, t_u, mv))
             if lusztig.lusztig_e(ar, i, t_u) != expected:
                 bad.append((i, a.positions))

@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 from .arquiver import ARQuiver
 from .cartan import InvariantViolation, Vector, path_diagram, reflection_ordering
-from .lusztig import Antichain, ideal
+from .lusztig import Antichain, move
 from .quiver import NotAdapted
 
 
@@ -383,12 +383,12 @@ def antichain_path(wd: WiringDiagram, ar: ARQuiver, a: Antichain) -> GPPath:
     > i.  The path rides wire i+1, then the column and the row wire of each
     turn, in the order in which the row wires cross wire i+1, then wire i; a
     column wire i+1 or a closing wire i already ridden is not listed twice.
-    Raises ValueError, as `lusztig.ideal` does, for an antichain that is not
+    Raises ValueError, as `lusztig.move` does, for an antichain that is not
     among the antichains of its type.
     """
     if tuple(ar.word) != wd.word:
         raise NotAdapted("translation quiver and wiring diagram use different words")
-    ideal(ar, a)  # the lookup contract of lusztig's readers
+    move(ar, a)  # the lookup contract of lusztig's readers
     i = a.type_index
     pairs = wd.pairs
     wires = [i + 1]

@@ -178,7 +178,7 @@ def test_invariant_violation_exits_one(capsys, monkeypatch):
 
     def maximal_row(ar, i, t):
         return None, lusztig._Entry(
-            ideal=(), cominimals=(), move=(-1,) * ar.N, u=(0,) * ar.N, mask=0
+            cominimals=(), move=(-1,) * ar.N, u=(0,) * ar.N, mask=0
         )
 
     monkeypatch.setattr(lusztig, "_maximal_row", maximal_row)
@@ -328,6 +328,9 @@ STDOUT_DIGESTS = [
      "48b7444113561d130e6f1345c5d0a3002e543d1570fd89abde9433dfdc0dcd04"),
     ("verify conjecture --quiver 1>3,2>3,3>4,4>5 --box 1", 0,
      "678e5fcc9a01beca2a518e7dd08e8e70429751436953a55b7aa47ba79355cca3"),
+    # the move table of that D5 instance, pinned on its own
+    ("moves --quiver 1>3,2>3,3>4,4>5 --format tsv", 0,
+     "5b56fde6c28b0508b3e992c493c70b1f47d30573585d28aeffb1ccabceb045ba"),
     # an A4 path table, read from the type table's path records
     ("gp --quiver 2>1,2>3,4>3 --type-index 2 --format json", 0,
      "55840e3a4ba191180ac794882921d6d2f816ba80d1788593d1e3e25a03187b93"),

@@ -2,9 +2,11 @@
 collector only for its own command.
 
 A recursive closure that calls itself through its own cell keeps everything
-it captured alive until a collection runs; the builders empty that cell once
-the search is done.  What a command still leaves comes from argparse and json,
-a fixed amount per command, whatever the size of the instance.
+it captured alive until a collection runs.  The one such closure left, `dfs`
+in `wiring._table` (kept because its loop versions measured slower), empties
+that cell once the search is done; the antichain and cone-point searches are
+loops.  What a command still leaves comes from argparse and json, a fixed
+amount per command, whatever the size of the instance.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def test_main_restores_the_collector(capsys, monkeypatch, argv, code, enabled):
     if code == 1:
         def maximal_row(ar, i, t):
             return None, lusztig._Entry(
-                ideal=(), cominimals=(), move=(-1,) * ar.N, u=(0,) * ar.N, mask=0
+                cominimals=(), move=(-1,) * ar.N, u=(0,) * ar.N, mask=0
             )
 
         monkeypatch.setattr(lusztig, "_maximal_row", maximal_row)

@@ -6,9 +6,9 @@ from types import MappingProxyType
 import pytest
 
 from stringcone import lusztig, quiver, verify
-from stringcone.arquiver import build_ar
+from stringcone.arquiver import ARQuiver, build_ar
 from stringcone.cartan import InvariantViolation, path_diagram
-from stringcone.lusztig import antichains, move_vectors
+from stringcone.lusztig import Antichain, antichains, move_vectors
 from stringcone.quiver import adapted_word, all_orientations, parse_quiver
 from stringcone.strings import NotLowered, generate_strings, points
 from stringcone.verify import (
@@ -342,6 +342,79 @@ def test_limiting_path_reports_its_crossings(monkeypatch, a3):
     assert not reports["limiting_path_type1"].passed
     assert reports["limiting_path_type1"].witness == [(1,)]
     assert reports["limiting_path_type2"].witness == [(2, 5, 6, 4, 1)]
+
+
+def _witnesses(q, word):
+    return {r.check: r.witness for r in structural_reports(q, word)}
+
+
+def test_level_endpoints_report_a_missing_level(monkeypatch, a3):
+    # a level with no position is reported, and its endpoints are not read
+    original = ARQuiver.level_positions
+    monkeypatch.setattr(
+        ARQuiver, "level_positions", lambda ar, i: () if i == 2 else original(ar, i)
+    )
+    assert _witnesses(*a3)["level_endpoints"] == [("missing-level", 2)]
+
+
+@pytest.mark.parametrize("reader, vertex, witness", [
+    ("projective_dimension_vector", 2, ("projective", 2)),
+    # the last position of level i carries the injective at the w0-image of i
+    ("injective_dimension_vector", 1, ("injective", 3)),
+])
+def test_level_endpoints_report_a_wrong_end(monkeypatch, a3, reader, vertex, witness):
+    original = getattr(verify.arquiver, reader)
+    monkeypatch.setattr(
+        verify.arquiver, reader,
+        lambda q, i: (0,) * q.diagram.n if i == vertex else original(q, i),
+    )
+    assert _witnesses(*a3)["level_endpoints"] == [witness]
+
+
+def _shifted(original, k, j):
+    """`original` with coordinate j of its value at crossing k raised by one."""
+    def reader(wd, at):
+        out = original(wd, at)
+        return tuple(x + (at == k and t == j) for t, x in enumerate(out, start=1))
+
+    return reader
+
+
+@pytest.mark.parametrize("reader, tag", [("lambda_minus", "minus"), ("lambda_plus", "plus")])
+def test_chamber_weights_report_each_side(monkeypatch, a3, reader, tag):
+    monkeypatch.setattr(verify.wiring, reader, _shifted(getattr(verify.wiring, reader), 4, 1))
+    assert _witnesses(*a3)["chamber_weights"] == [(tag, 4)]
+
+
+def test_membership_pairing_reports_position_and_type(monkeypatch, a3):
+    monkeypatch.setattr(verify.wiring, "lambda_minus", _shifted(verify.wiring.lambda_minus, 4, 2))
+    assert _witnesses(*a3)["membership_pairing"] == [(4, 2)]
+
+
+def test_path_antichain_bijection_reports_a_count_mismatch(monkeypatch, a3):
+    # with the antichain (6,) of type 2 dropped, five paths meet four
+    # antichains, and the path that turns at 6 rebuilds no listed antichain
+    original = verify.lusztig.antichains
+    monkeypatch.setattr(
+        verify.lusztig, "antichains",
+        lambda ar, i: original(ar, i)[:-1] if i == 2 else original(ar, i),
+    )
+    assert _witnesses(*a3)["path_antichain_bijection_type2"] == [
+        ("count", 5, 4), ("roundtrip", (2, 5, 6, 4, 1))
+    ]
+
+
+def test_path_antichain_bijection_reports_a_broken_roundtrip(monkeypatch, a3):
+    # the path that turns at 3 read as the antichain (4,): that antichain's
+    # path is another one
+    original = verify.wiring.path_antichain
+
+    def path_antichain(wd, ar, path):
+        a = original(wd, ar, path)
+        return a._replace(positions=(4,)) if a == Antichain(2, (3,)) else a
+
+    monkeypatch.setattr(verify.wiring, "path_antichain", path_antichain)
+    assert _witnesses(*a3)["path_antichain_bijection_type2"] == [("roundtrip", (2, 3, 1))]
 
 
 def test_suite_rank_two():
