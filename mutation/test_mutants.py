@@ -80,13 +80,19 @@ MUTANTS = [
      "code = codes[k] = codes[k] + 1", ["string_cone_box1"]),
     ("cone-last-range-short", "strings.py", "code + hi * w_last + 1", "code + hi * w_last",
      ["string_cone_box1"]),
-    ("raise-scan-ge", "strings.py", "if s[p] > top:", "if s[p] >= top:", ["string_cone_box1"]),
+    ("raise-scan-ge", "strings.py", "if s[p] > m:", "if s[p] >= m:", ["string_cone_box1"]),
+    ("raise-tie-strict", "strings.py", "max(m - base, 0)", "max(m - base + 1, 0)",
+     ["string_cone_box1"]),
+    ("closure-fill-short", "strings.py", "bits | full & -(bits ^ lifted)",
+     "bits | full >> 1 & -(bits ^ lifted)", ["string_cone_box1"]),
     ("lower-last-max", "strings.py", "for low in ps:", "for low in reversed(ps):",
      ["string_cone_box1"]),
-    ("lower-at-zero-max", "strings.py", "if low is None and top > 0:",
-     "if low is None and top >= 0:", ["string_cone_box1"]),
-    ("closure-box-gate-le", "strings.py", "if s[n + k] < box:", "if s[n + k] <= box:",
+    ("lower-at-zero-max", "strings.py", "elif low is None and m > 0:",
+     "elif low is None and m >= 0:", ["string_cone_box1"]),
+    ("lower-last-tie", "strings.py", "max(top + 1, 1) - base", "max(top, 1) - base",
      ["string_cone_box1"]),
+    ("closure-box-gate-le", "strings.py", "if lifted and s[n + k] < box:",
+     "if lifted and s[n + k] <= box:", ["string_cone_box1"]),
     ("certificate-stack-order", "strings.py", "code, s = queue.popleft()",
      "code, s = queue.pop()", ["string_cone_box1"]),
     ("k-vector-drop-ge", "wiring.py", "if h > l:", "if h >= l:",

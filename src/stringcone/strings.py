@@ -4,18 +4,21 @@ test, brute-force string-set generation, and integer cone point utilities.
 The three box kernels (`generate_strings`, `strings_in_box`,
 `cone_points_pruned`) return the integer codes of their points (see
 `_weights`); `points` is the one decoder.  `generate_strings` is the raising
-closure of zero, found level by level with one scan per letter per point, and
-in the same pass it certifies each point as the point leaves the queue, by the
-lowering rule's own choice of letter and position; a cone check runs this one
-search.  `strings_in_box` is the lowering filter, a box search of its own that
-accepts a + e_k when the lowering rule read at a + e_k picks k, which the tests
-hold against the closure.  `cone_points_pruned` walks the coordinates depth
-first in one loop, bounding each from the inequalities' running sums, and
-emits the last coordinate's values as one range of codes, so no step is taken
-per point.  `is_string` walks the one greedy lowering path of a point; its
-docstring proves why that decides membership, and the tests run it over whole
-boxes: A1-A3 at box 3 where the box has at most 5,000 points, A3 `2>1,2>3` at
-box 4, D4 at box 1, and ranks up to 2 at boxes 3-4."""
+closure of zero, searched level by level over the prefixes a_0..a_{N-2}, each
+with the last coordinate's values as the bits of one int: r is triangular, so
+the last coordinate moves only r_{N-1}, and one scan per letter per prefix
+raises its whole fiber.  In the same pass it certifies each fiber as its
+prefix leaves the queue, by the lowering rule's own choice of letter and
+position; a cone check runs this one search.  `strings_in_box` is the lowering
+filter, a box search of its own that accepts a + e_k when the lowering rule
+read at a + e_k picks k, which the tests hold against the closure.
+`cone_points_pruned` walks the coordinates depth first in one loop, bounding
+each from the inequalities' running sums, and emits the last coordinate's
+values as one range of codes, so no step is taken per point.  `is_string`
+walks the one greedy lowering path of a point; its docstring proves why that
+decides membership, and the tests run it over whole boxes: A1-A3 at box 3
+where the box has at most 5,000 points, A3 `2>1,2>3` at box 4, D4 at box 1,
+and ranks up to 2 at boxes 3-4."""
 
 from __future__ import annotations
 
@@ -228,64 +231,114 @@ def generate_strings(d: DynkinDiagram, word, box: int) -> frozenset[int]:
     Pruning is sound: a raising step only increments one coordinate, so every
     in-box string is reached through intermediates that stay in the box.  The
     raising operator of a letter adds e_k at the last maximum k of r(a) among
-    its positions: one scan per letter, from its last position down, that
-    moves to a position only when its r is strictly larger.
+    its positions.  For any Cartan matrix r_k reads only a_0..a_k, so the last
+    coordinate t = a_{N-1} moves r_{N-1} alone, as R + t.  The search runs
+    over prefixes p = (a_0..a_{N-2}), each keeping its fiber, the t of the
+    closure's points (p, t), as the bits of one int.  A letter other than the
+    last position's letter l raises the whole fiber at one k < N-1, so its
+    bits move to p + e_k.  With M the maximum of r over l's other positions,
+    l raises at the last position exactly when R + t >= M (a tie goes to the
+    later position), so the bits from max(0, M - R) up fill the fiber to the
+    box, and the bits below move to p + e_k at l's last maximum k.  A prefix
+    is one queue entry with one list, r in slots 0..N-1 and a in N..2N-2,
+    copied only for a new prefix: one scan per letter per prefix, not per
+    point.
 
-    Each point of the search is its code and one list, r in slots 0..N-1 and a
-    in slots N..2N-1; a stepped-to point is looked up by its code among the
-    codes found so far, and only a new one gets a list: a copy with r's row
-    bumped and slot N+k raised.  The work is |points| * N, not the (box+1)^N of
-    a scan.
-
-    The lowering certificate runs in the same pass, by its own rule.  At each
-    nonzero point b it takes the first letter whose maximum of r(b) is
-    positive, and that letter's first maximum k, found by a scan of its own up
-    from the letter's first position; b_k > 0 is required, and b - e_k must be
-    among the codes found so far.  The search runs level by level in sum(b),
-    first in first out, so when b leaves the queue every point one level down
-    has been found, and b - e_k is found exactly when it is in the closure.
-    When every point passes, each point lowers to zero by the lowering rule
-    alone, one step at a time (by induction on sum(b), since b - e_k is again
-    a point of the set), so the set is pinned by both rules: see `is_string`
-    for why they agree.  Otherwise NotLowered is raised, carrying the codes and
-    the failing points.
+    The lowering certificate runs in the same pass, by its own rule: at each
+    nonzero point b, the first letter whose maximum of r(b) is positive, at
+    its first maximum k, found by a scan up; b_k > 0 is required, and b - e_k
+    must be in the closure.  Only l's choice depends on t: where R + t > M
+    and R + t > 0 it is the last position, and b lowers to t - 1 in its own
+    fiber; elsewhere l lowers into fiber p - e_k at its first maximum before
+    N-1 when M > 0.  Each move between prefixes raises the prefix sum by one,
+    and the queue runs level by level in it, so when a prefix leaves the
+    queue its fiber and every fiber one level down are complete.  When every
+    point passes, each point lowers to zero by the lowering rule alone (by
+    induction on sum(b)), so the set is pinned by both rules: see `is_string`
+    for why they agree.  Otherwise NotLowered is raised, carrying the codes
+    and the failing points.
     """
     word = tuple(word)
     groups, rows = _layout(d, word)
     if box < 0:
         return frozenset()  # [0..box]^N has no points
+    if not box or not word:
+        return frozenset((0,))  # zero is the one point, and needs no lowering
     n = len(word)
+    last = n - 1
     weight = _weights(n, box)
-    # each letter's positions: the last, the others from the last down, and
-    # all of them from the first up
-    scans = [(ps[-1], ps[-2::-1], ps) for ps in groups]
-    codes = {0}
+    step = weight[last]
+    full = (1 << box + 1) - 1  # the bits of t = 0..box
+    # l's positions before the last, then each other letter ascending: its
+    # last position, the others from the last down, all of them from the
+    # first up, and whether it comes before l
+    scans = []
+    for ps in groups:
+        if ps[-1] != last:
+            scans.append((ps[-1], ps[-2::-1], ps, word[ps[0]] < word[last]))
+        else:
+            own = ps[:-1]
+            if own:
+                scans.insert(0, (ps[-2], ps[-3::-1], own, None))
+    fibers = {0: 1}  # prefix code -> the bits of its fiber
     failing = []
     queue = deque([(0, [0] * (2 * n))])
     while queue:
         code, s = queue.popleft()
+        bits = fibers[code]
+        base = s[last]
+        top = 0  # M, or 0 when l has no other position
+        if not own:  # l raises every t at the last position
+            bits = fibers[code] = bits | full & -bits
         low = None
-        for k, down, ps in scans:
-            top = s[k]
+        for k, down, ps, early in scans:
+            m = s[k]
             for p in down:
-                if s[p] > top:
-                    k, top = p, s[p]
-            if low is None and top > 0:
+                if s[p] > m:
+                    k, m = p, s[p]
+            lifted = bits
+            if ps is own:
+                # l raises at k below t = cut and at the last position from
+                # there up, which fills the fiber before the others lift it
+                top, cut = m, max(m - base, 0)
+                lifted = bits & (1 << cut) - 1
+                bits = fibers[code] = bits | full & -(bits ^ lifted)
+            elif low is None and m > 0:
                 for low in ps:
-                    if s[low] == top:
+                    if s[low] == m:
                         break
-            if s[n + k] < box:
+                first = early
+            if lifted and s[n + k] < box:
                 c = code + weight[k]
-                if c not in codes:
-                    codes.add(c)
+                if c in fibers:
+                    fibers[c] |= lifted
+                else:
+                    fibers[c] = lifted
                     t = s.copy()
                     t[n + k] += 1
                     queue.append((c, _bump(t, rows[k], k, 1)))
-        if code and (low is None or not s[n + low] or code - weight[low] not in codes):
-            failing.append(code)
+        # the t whose lowering lands in the closure: l lowers at the last
+        # position where base + t > top and base + t > 0, from t = drop up,
+        # and the rest of the fiber lowers at j
+        j, drop = low, box + 1
+        if low is None or not first:
+            drop = max(max(top + 1, 1) - base, 0)
+            if top > 0:
+                for j in own:
+                    if s[j] == top:
+                        break
+        at_last = full >> drop << drop
+        ok = at_last & bits << 1
+        if j is not None and s[n + j]:
+            ok |= fibers.get(code - weight[j], 0) & ~at_last
+        bits &= ~ok if code else ~(ok | 1)  # zero needs no lowering
+        if bits:
+            failing += [code + t * step for t in range(box + 1) if bits >> t & 1]
+    codes = frozenset([c + t * step for c, bits in fibers.items()
+                       for t in range(box + 1) if bits >> t & 1])
     if failing:
-        raise NotLowered(frozenset(codes), points(failing, n, box))
-    return frozenset(codes)
+        raise NotLowered(codes, points(failing, n, box))
+    return codes
 
 
 def points(codes, n: int, box: int) -> list[tuple[int, ...]]:

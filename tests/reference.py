@@ -220,6 +220,32 @@ def lowers_to_zero(d, word, a) -> bool:
     return False
 
 
+def raising_closure(cm, word, box: int) -> frozenset[tuple[int, ...]]:
+    """The points of [0..box]^N that raising steps reach from zero under the
+    Cartan matrix cm.  A step picks a letter and adds e_k at the last position
+    k of that letter where r_k = a_k + sum_{j<k} c_{i_j, i_k} a_j is maximal,
+    provided a_k < box.  Every point met is searched, with r recomputed from
+    its definition."""
+    if box < 0:
+        return frozenset()
+    zero = (0,) * len(word)
+    seen = {zero}
+    stack = [zero]
+    while stack:
+        a = stack.pop()
+        r = [a[k] + sum(cm[word[j] - 1][word[k] - 1] * a[j] for j in range(k))
+             for k in range(len(a))]
+        for letter in set(word):
+            ps = [k for k, x in enumerate(word) if x == letter]
+            k = max(ps, key=lambda p: (r[p], p))
+            if a[k] < box:
+                b = a[:k] + (a[k] + 1,) + a[k + 1:]
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+    return frozenset(seen)
+
+
 def not_lowered(cm, word, found) -> list[tuple[int, ...]]:
     """The nonzero points of `found` that fail the lowering certificate under
     the Cartan matrix cm, sorted.  At each point a, r_k = a_k +

@@ -39,6 +39,7 @@ from reference import (
     lowers_to_zero,
     not_lowered,
     point_code,
+    raising_closure,
     same_labelled_graph,
     string_weight,
 )
@@ -340,6 +341,34 @@ def test_certificate_failures_match_the_reference(diagonal):
     finally:
         _layout.cache_clear()  # later tests must not read the doctored rows
     assert any(failures), failures
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=60)
+def test_closure_and_certificate_match_the_reference(data):
+    # the fiber search reads only r's triangular form, so under any integer
+    # Cartan matrix its codes must be the reference raising closure and
+    # NotLowered must carry exactly the reference certificate's failures
+    n = data.draw(st.integers(1, 4), label="rank")
+    q = data.draw(st.sampled_from(all_orientations(path_diagram(n))), label="quiver")
+    word = adapted_word(q)
+    box = data.draw(st.integers(0, max(b for b in range(4) if (b + 1) ** len(word) <= 4096)),
+                    label="box")
+    entries = st.lists(st.integers(-2, 3), min_size=n, max_size=n)
+    cm = tuple(map(tuple, data.draw(st.lists(entries, min_size=n, max_size=n), label="cm")))
+    _layout.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(strings, "cartan_matrix", lambda d: cm)
+            try:
+                codes, failing = generate_strings(q.diagram, word, box), []
+            except NotLowered as exc:
+                codes, failing = exc.codes, exc.points
+    finally:
+        _layout.cache_clear()  # later tests must not read the drawn rows
+    found = raising_closure(cm, word, box)
+    assert frozenset(points(codes, len(word), box)) == found
+    assert failing == not_lowered(cm, word, found)
 
 
 def closure_by_string_e(d, word, box):
