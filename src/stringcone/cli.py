@@ -16,6 +16,7 @@ import argparse
 import gc
 import json
 import os
+import stat
 import sys
 
 from . import arquiver, lusztig, strings, verify, wiring
@@ -46,24 +47,39 @@ def _parse_word(q, text: str):
     return word
 
 
-def _require_type_a(q):
+def _type_a_wiring(q, word):
+    """The wiring diagram of word, which only a type A quiver has."""
     if diagram_type(q.diagram) != "A":
         raise UsageError("this command is defined for type A quivers only")
+    return wiring.build_wiring(word, q.diagram.n)
 
 
 def _emit(payload: str, out: str | None) -> None:
+    """Write payload to stdout, or to out as `open(out, "w")` would but
+    atomically: to a symlink's target, keeping an existing file's permission
+    bits; a target that exists and is not a regular file is refused."""
     if out is None:
         sys.stdout.write(payload)
         return
     import tempfile  # only here: it loads random, shutil and more, which stdout never needs
 
-    directory = os.path.dirname(os.path.abspath(out))
+    path = os.path.realpath(out)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stringcone-")
+        try:
+            found = os.stat(path)
+        except FileNotFoundError:  # a new file: 0o666 less the umask, read by setting it
+            os.umask(umask := os.umask(0))
+            mode = 0o666 & ~umask
+        else:
+            if not stat.S_ISREG(found.st_mode):
+                raise UsageError(f"cannot write --out {out}: not a regular file")
+            mode = stat.S_IMODE(found.st_mode)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".stringcone-")
         with os.fdopen(fd, "w") as handle:
             handle.write(payload)
-        os.replace(tmp, out)
+        os.chmod(tmp, mode)
+        os.replace(tmp, path)
     except OSError as exc:
         raise UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     finally:
@@ -75,13 +91,12 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _lines(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
 def _pretty_root(root) -> str:
-    parts = []
-    for idx, c in enumerate(root, start=1):
-        if c == 0:
-            continue
-        parts.append(f"a{idx}" if c == 1 else f"{c}a{idx}")
-    return "+".join(parts) if parts else "0"
+    return "+".join(f"a{i}" if c == 1 else f"{c}a{i}" for i, c in enumerate(root, 1) if c) or "0"
 
 
 def _nonnegative(text: str) -> int:
@@ -92,6 +107,118 @@ def _nonnegative(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"{value} must be nonnegative")
     return value
+
+
+def _roots(args, q, word):
+    ordering = reflection_ordering(q.diagram, word)
+    if args.fmt == "json":
+        return _json_text({"word": word, "roots": ordering}), 0
+    if args.fmt == "tsv":
+        return _lines(["position\theight\troot"] + [
+            f"{k}\t{sum(r)}\t{','.join(map(str, r))}" for k, r in enumerate(ordering, 1)
+        ]), 0
+    return _lines(f"b{k} = {_pretty_root(r)}" for k, r in enumerate(ordering, 1)), 0
+
+
+def _ar(args, q, word):
+    ar = arquiver.build_ar(q, word)
+    if args.fmt == "dot":
+        return arquiver.ar_dot(ar), 0
+    return _json_text({"word": word, "roots": ar.roots, "arrows": ar.arrows,
+                       "translation": {str(k): t for k, t in ar.tau.items()}}), 0
+
+
+def _hammock(args, q, word):
+    ar = arquiver.build_ar(q, word)
+    i = args.type_index
+    payload = {"type": i, "hammock": ar.hammock(i), "p_set": ar.p_set(i)}
+    if diagram_type(q.diagram) == "A":
+        grid = arquiver.grid_A(ar, i)
+        payload["segments"] = [grid.left_segment, grid.right_segment]
+        cells = sorted(grid.cells.items())
+        payload["grid"] = [{"k": k, "l": l, "position": pos} for (k, l), pos in cells]
+    return _json_text(payload), 0
+
+
+def _moves(args, q, word):
+    ar = arquiver.build_ar(q, word)
+    if args.fmt == "json":
+        return _json_text(lusztig.moves_json(ar)), 0
+    if args.fmt == "pretty":
+        return _lines(
+            f"{a.type_index}: {strings.pretty_inequality(vec)}" for a, vec in lusztig.all_moves(ar)
+        ), 0
+    return lusztig.moves_tsv(ar), 0
+
+
+def _gp(args, q, word):
+    return _json_text(wiring.paths_json(_type_a_wiring(q, word), args.type_index)), 0
+
+
+def _inequalities(args, q, word):
+    if args.source == "gp":
+        typed = [(i, vec) for i, _, vec in wiring.gp_table(_type_a_wiring(q, word))]
+    else:
+        typed = [(a.type_index, vec) for a, vec in lusztig.all_moves(arquiver.build_ar(q, word))]
+    first_type: dict = {}
+    for i, vec in typed:
+        first_type.setdefault(vec, i)
+    if args.fmt == "json":
+        return _json_text(strings.inequalities_json((i, vec) for vec, i in first_type.items())), 0
+    return _lines(strings.pretty_inequality(vec) for vec in first_type), 0
+
+
+def _strings(args, q, word):
+    codes = strings.generate_strings(q.diagram, word, args.box)
+    found = strings.points(codes, len(word), args.box)
+    return _json_text({"word": word, "box": args.box, "count": len(found), "strings": found}), 0
+
+
+def _crystal(args, q, word):
+    if args.param == "lusztig":
+        ar = arquiver.build_ar(q, word)
+        verify.require_condition_L(ar)
+        graph = lusztig.lusztig_crystal(ar, args.depth)
+    else:
+        graph = strings.string_crystal(q.diagram, word, args.depth)
+    return _json_text({"param": args.param, "depth": args.depth,
+                       "vertices": sorted(graph.vertices), "edges": sorted(graph.edges)}), 0
+
+
+def _wiring(args, q, word):
+    return wiring.wiring_dot(_type_a_wiring(q, word)), 0
+
+
+def _report(report, fmt):
+    code = 0 if report.passed else 1
+    if fmt == "json":
+        return _json_text(report.as_json()), code
+    status = "PASS" if report.passed else f"FAIL witness={report.witness}"
+    return f"{report.check}: {status} ({report.instance})\n", code
+
+
+def _theorem(args, q, word):
+    return _report(verify.check_theorem_2_4(q, word, strict=args.strict), args.fmt)
+
+
+def _cone(args, q, word):
+    cone = wiring.gp_cone(_type_a_wiring(q, word))
+    return _report(verify.check_cone(q.diagram, word, cone, args.box), args.fmt)
+
+
+def _conjecture(args, q, word):
+    return _report(verify.check_conjecture(q, word, args.box), args.fmt)
+
+
+def _suite(args):
+    if args.max_rank == 0:
+        raise UsageError("--max-rank 0 sweeps no quiver, so no check would run")
+    summary = verify.run_suite(args.max_rank, args.box)
+    if args.fmt == "json":
+        return _json_text(summary.as_json()), 0 if summary.ok else 1
+    if summary.ok:
+        return f"all checks passed ({len(summary.reports)} checks)\n", 0
+    return _lines(f"{r.check} FAILED on {r.instance}: {r.witness}" for r in summary.failures), 1
 
 
 _QUIVER = {
@@ -108,46 +235,49 @@ def _output(*formats) -> dict:
     }
 
 
-# (name, help, options): options maps each option string to its add_argument
-# keywords in the order usage lists them, or is the table of a command's
-# subcommands; verify's kinds carry no help, so `verify -h` lists names only
+# (name, help, options, handler), the one record of a command: options maps
+# each option string to its add_argument keywords in the order usage lists
+# them, or is the table of a command's subcommands, whose row names no
+# handler; a handler takes the parsed arguments and, but for `verify suite`,
+# the quiver and word they name, and returns (stdout text, exit code);
+# verify's kinds carry no help, so `verify -h` lists names only
 _VERIFY_KINDS = (
     ("theorem", None, {
         **_QUIVER, **_output("pretty", "json"),
         "--strict": dict(action="store_true", help="compare move sets with type tags"),
-    }),
-    ("cone", None, {**_QUIVER, **_output("pretty", "json"), "--box": _BOX}),
-    ("conjecture", None, {**_QUIVER, **_output("pretty", "json"), "--box": _BOX}),
+    }, _theorem),
+    ("cone", None, {**_QUIVER, **_output("pretty", "json"), "--box": _BOX}, _cone),
+    ("conjecture", None, {**_QUIVER, **_output("pretty", "json"), "--box": _BOX}, _conjecture),
     ("suite", None, {
         "--max-rank": dict(type=_nonnegative, default=4), "--box": _BOX,
         **_output("pretty", "json"),
-    }),
+    }, _suite),
 )
 _COMMANDS = (
     ("roots", "positive roots in the word ordering",
-     {**_QUIVER, **_output("pretty", "json", "tsv")}),
-    ("ar", "translation quiver", {**_QUIVER, **_output("dot", "json")}),
+     {**_QUIVER, **_output("pretty", "json", "tsv")}, _roots),
+    ("ar", "translation quiver", {**_QUIVER, **_output("dot", "json")}, _ar),
     ("hammock", "hammock and its map-to-simple subposet", {
         **_QUIVER, **_output("json"), "--type-index": dict(type=int, required=True),
-    }),
-    ("moves", "antichain move table", {**_QUIVER, **_output("tsv", "json", "pretty")}),
+    }, _hammock),
+    ("moves", "antichain move table", {**_QUIVER, **_output("tsv", "json", "pretty")}, _moves),
     ("gp", "oriented wiring paths and contribution vectors", {
         **_QUIVER, **_output("json"), "--type-index": dict(type=int, default=None),
-    }),
+    }, _gp),
     ("inequalities", "cone inequality system", {
         **_QUIVER, **_output("pretty", "json"),
         "--source": dict(default="moves", choices=["gp", "moves"]),
-    }),
+    }, _inequalities),
     ("strings", "string parameters inside a box", {
         **_QUIVER, **_output("json"), "--box": dict(type=_nonnegative, required=True),
-    }),
+    }, _strings),
     ("crystal", "crystal graph to a depth", {
         **_QUIVER, **_output("json"),
         "--depth": dict(type=_nonnegative, required=True),
         "--param": dict(default="lusztig", choices=["lusztig", "string"]),
-    }),
-    ("wiring", "wiring diagram layout", {**_QUIVER, **_output("dot")}),
-    ("verify", "verification checks", _VERIFY_KINDS),
+    }, _crystal),
+    ("wiring", "wiring diagram layout", {**_QUIVER, **_output("dot")}, _wiring),
+    ("verify", "verification checks", _VERIFY_KINDS, None),
 )
 
 
@@ -174,156 +304,28 @@ def _add_commands(parent, dest, table, argv) -> None:
     """Add table's commands to parent: only the one argv[0] names, if any."""
     sub = parent.add_subparsers(dest=dest, required=True)
     named = argv[0] if argv and any(row[0] == argv[0] for row in table) else None
-    for name, help_text, options in table:
+    for name, help_text, options, handler in table:
         if named not in (None, name):
             continue
         p = sub.add_parser(name, **({"help": help_text} if help_text else {}))
-        if isinstance(options, dict):
-            for flag, keywords in options.items():
-                p.add_argument(flag, **keywords)
-        else:
+        if handler is None:
             _add_commands(p, "kind", options, argv[1:] if named else None)
+            continue
+        p.set_defaults(handler=handler)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
 
 
 def _dispatch(args) -> tuple[str, int]:
-    if args.command == "verify":
-        return _run_verify(args)
+    """Run the command's handler, on the quiver and word it names, if any."""
+    if "quiver" not in args:  # verify suite sweeps quivers of its own
+        return args.handler(args)
     q = parse_quiver(args.quiver)
     word = _parse_word(q, args.word)
-    if getattr(args, "type_index", None) is not None and not (
-        1 <= args.type_index <= q.diagram.n
-    ):
-        raise UsageError(f"--type-index {args.type_index} out of range 1..{q.diagram.n}")
-
-    if args.command == "roots":
-        ordering = reflection_ordering(q.diagram, word)
-        if args.fmt == "json":
-            return _json_text({"word": list(word), "roots": [list(r) for r in ordering]}), 0
-        if args.fmt == "tsv":
-            lines = ["position\theight\troot"]
-            lines += [f"{k}\t{sum(r)}\t{','.join(map(str, r))}" for k, r in enumerate(ordering, 1)]
-            return "\n".join(lines) + "\n", 0
-        lines = [f"b{k} = {_pretty_root(r)}" for k, r in enumerate(ordering, 1)]
-        return "\n".join(lines) + "\n", 0
-
-    if args.command == "ar":
-        ar = arquiver.build_ar(q, word)
-        if args.fmt == "json":
-            payload = {
-                "word": list(word),
-                "roots": [list(r) for r in ar.roots],
-                "arrows": [list(a) for a in ar.arrows],
-                "translation": {str(k): ar.tau[k] for k in sorted(ar.tau)},
-            }
-            return _json_text(payload), 0
-        return arquiver.ar_dot(ar), 0
-
-    if args.command == "hammock":
-        ar = arquiver.build_ar(q, word)
-        i = args.type_index
-        payload = {
-            "type": i,
-            "hammock": list(ar.hammock(i)),
-            "p_set": list(ar.p_set(i)),
-        }
-        if diagram_type(q.diagram) == "A":
-            grid = arquiver.grid_A(ar, i)
-            payload["segments"] = [list(grid.left_segment), list(grid.right_segment)]
-            payload["grid"] = [
-                {"k": k, "l": l, "position": pos} for (k, l), pos in sorted(grid.cells.items())
-            ]
-        return _json_text(payload), 0
-
-    if args.command == "moves":
-        ar = arquiver.build_ar(q, word)
-        if args.fmt == "json":
-            return _json_text(lusztig.moves_json(ar)), 0
-        if args.fmt == "pretty":
-            lines = [
-                f"{a.type_index}: {strings.pretty_inequality(vec)}"
-                for a, vec in lusztig.all_moves(ar)
-            ]
-            return "\n".join(lines) + "\n", 0
-        return lusztig.moves_tsv(ar), 0
-
-    if args.command == "gp":
-        _require_type_a(q)
-        wd = wiring.build_wiring(word, q.diagram.n)
-        return _json_text(wiring.paths_json(wd, args.type_index)), 0
-
-    if args.command == "inequalities":
-        if args.source == "gp":
-            _require_type_a(q)
-            wd = wiring.build_wiring(word, q.diagram.n)
-            typed = [(i, vec) for i, _, vec in wiring.gp_table(wd)]
-        else:
-            ar = arquiver.build_ar(q, word)
-            moves = lusztig.all_moves(ar)
-            typed = [(a.type_index, vec) for a, vec in moves]
-        first_type: dict = {}
-        for i, vec in typed:
-            first_type.setdefault(vec, i)
-        rows = [(i, vec) for vec, i in first_type.items()]
-        if args.fmt == "json":
-            return _json_text(strings.inequalities_json(rows)), 0
-        return "\n".join(strings.pretty_inequality(vec) for _, vec in rows) + "\n", 0
-
-    if args.command == "strings":
-        codes = strings.generate_strings(q.diagram, word, args.box)
-        found = strings.points(codes, len(word), args.box)
-        payload = {"word": list(word), "box": args.box, "count": len(found),
-                   "strings": [list(a) for a in found]}
-        return _json_text(payload), 0
-
-    if args.command == "crystal":
-        if args.param == "lusztig":
-            ar = arquiver.build_ar(q, word)
-            verify.require_condition_L(ar)
-            graph = lusztig.lusztig_crystal(ar, args.depth)
-        else:
-            graph = strings.string_crystal(q.diagram, word, args.depth)
-        payload = {
-            "param": args.param,
-            "depth": args.depth,
-            "vertices": [list(v) for v in sorted(graph.vertices)],
-            "edges": [[list(a), i, list(b)] for a, i, b in sorted(graph.edges)],
-        }
-        return _json_text(payload), 0
-
-    if args.command == "wiring":
-        _require_type_a(q)
-        wd = wiring.build_wiring(word, q.diagram.n)
-        return wiring.wiring_dot(wd), 0
-
-    raise UsageError(f"unknown command {args.command!r}")
-
-
-def _run_verify(args) -> tuple[str, int]:
-    if args.kind == "suite":
-        if args.max_rank == 0:
-            raise UsageError("--max-rank 0 sweeps no quiver, so no check would run")
-        summary = verify.run_suite(args.max_rank, args.box)
-        if args.fmt == "json":
-            return _json_text(summary.as_json()), 0 if summary.ok else 1
-        if summary.ok:
-            return f"all checks passed ({len(summary.reports)} checks)\n", 0
-        lines = [f"{r.check} FAILED on {r.instance}: {r.witness}" for r in summary.failures]
-        return "\n".join(lines) + "\n", 1
-
-    q = parse_quiver(args.quiver)
-    word = _parse_word(q, args.word)
-    if args.kind == "theorem":
-        report = verify.check_theorem_2_4(q, word, strict=args.strict)
-    elif args.kind == "cone":
-        _require_type_a(q)
-        wd = wiring.build_wiring(word, q.diagram.n)
-        report = verify.check_cone(q.diagram, word, wiring.gp_cone(wd), args.box)
-    else:
-        report = verify.check_conjecture(q, word, args.box)
-    if args.fmt == "json":
-        return _json_text(report.as_json()), 0 if report.passed else 1
-    status = "PASS" if report.passed else f"FAIL witness={report.witness}"
-    return f"{report.check}: {status} ({report.instance})\n", 0 if report.passed else 1
+    i = getattr(args, "type_index", None)
+    if i is not None and not 1 <= i <= q.diagram.n:
+        raise UsageError(f"--type-index {i} out of range 1..{q.diagram.n}")
+    return args.handler(args, q, word)
 
 
 def main(argv=None) -> int:
@@ -335,15 +337,13 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _main(argv)
+        return _main(sys.argv[1:] if argv is None else argv)
     finally:
         if collecting:
             gc.enable()
 
 
 def _main(argv) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
         args, leftover = _build_parser(argv).parse_known_args(argv)
         if leftover:  # the full parser reports them, with the usage of every command

@@ -259,11 +259,11 @@ def generate_strings(d: DynkinDiagram, word, box: int) -> frozenset[int]:
     and the failing points.
     """
     word = tuple(word)
-    groups, rows = _layout(d, word)
     if box < 0:
         return frozenset()  # [0..box]^N has no points
     if not box or not word:
         return frozenset((0,))  # zero is the one point, and needs no lowering
+    groups, rows = _layout(d, word)
     n = len(word)
     last = n - 1
     weight = _weights(n, box)

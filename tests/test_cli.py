@@ -1,11 +1,18 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
+import stat
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stringcone import cli
+from stringcone.cartan import d_diagram, path_diagram
 from stringcone.cli import main
+from stringcone.quiver import all_orientations, quiver_spec
 
 D4_FIFTEEN = """t1>=0
 t2>=0
@@ -222,6 +229,59 @@ def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch, out):
     assert (code, stdout) == (2, "")
     assert err.startswith(f"error: cannot write --out {out}: ")
     assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
+
+
+OUT_ARGV = ["roots", "--quiver", "2>1"]
+
+
+@pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                         ids=["umask-022", "umask-077", "umask-002"])
+def test_out_gives_a_new_file_the_mode_open_would(tmp_path, capsys, mask, mode):
+    old = os.umask(mask)
+    try:
+        code = main([*OUT_ARGV, "--out", str(tmp_path / "new")])
+    finally:
+        os.umask(old)
+    assert (code, capsys.readouterr().out) == (0, "")
+    assert stat.S_IMODE((tmp_path / "new").stat().st_mode) == mode
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o640, 0o604], ids=oct)
+def test_out_keeps_an_existing_files_mode(tmp_path, capsys, mode):
+    target = tmp_path / "old"
+    target.write_text("old bytes")
+    target.chmod(mode)
+    assert main([*OUT_ARGV, "--out", str(target)]) == 0
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+    assert target.read_text().startswith("b1 = ")
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["to-a-file", "dangling"])
+def test_out_writes_through_a_symlink(tmp_path, capsys, existing):
+    # the link stays a link, and its target gets the bytes
+    target, link = tmp_path / "target", tmp_path / "link"
+    if existing:
+        target.write_text("old bytes")
+    link.symlink_to(target)
+    assert main([*OUT_ARGV, "--out", str(link)]) == 0
+    assert main(OUT_ARGV) == 0
+    assert target.read_text() == capsys.readouterr().out
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "target"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+def test_out_refuses_a_fifo(tmp_path, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    before = fifo.stat()
+    code, stdout, err = run(capsys, *OUT_ARGV, "--out", str(fifo))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: cannot write --out {fifo}: not a regular file\n"
+    after = fifo.stat()
+    assert stat.S_ISFIFO(after.st_mode)
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
 
 
 # stdout sha256 and exit code of every README example and of every format each
@@ -455,3 +515,82 @@ def test_only_the_named_command_is_built(capsys, monkeypatch, argv, parsers):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     run(capsys, *argv.split())
     assert len(built) == parsers
+
+
+def _command_rows():
+    """(the words naming a command or verify kind, its options) per table row."""
+    for name, _, options, handler in cli._COMMANDS:
+        if handler is None:
+            yield from (([name, kind], kind_options) for kind, _, kind_options, _ in options)
+        else:
+            yield [name], options
+
+
+COMMAND_ROWS = list(_command_rows())
+
+
+def test_every_command_and_kind_has_a_pinned_stdout():
+    # a new command or kind lands with at least one STDOUT_DIGESTS row
+    pinned = {tuple(argv.split()[:2 if argv.startswith("verify ") else 1])
+              for argv, _, _ in STDOUT_DIGESTS}
+    assert {tuple(words) for words, _ in COMMAND_ROWS} <= pinned
+
+
+# every orientation of A2-A4 and D4 (A1's spec is empty, which the parser
+# refuses), and text that is no quiver or none the commands take
+QUIVERS = [
+    quiver_spec(q)
+    for d in (*map(path_diagram, range(1, 5)), d_diagram(4))
+    for q in all_orientations(d)
+]
+def _mostly(good, bad):
+    """Values of good three times in four, else of bad."""
+    return st.integers(0, 3).flatmap(lambda k: good if k else bad)
+
+
+_LETTERS = st.lists(st.integers(-1, 5), max_size=12).map(lambda w: ",".join(map(str, w)))
+# values of every option but --out; a value from the option's choices, where
+# it has them, is drawn three times in four; the box and depth bounds keep
+# each call to milliseconds
+OPTION_VALUES = {
+    "--quiver": _mostly(st.sampled_from(QUIVERS), st.text("0123456789>, ", max_size=10)),
+    "--word": _mostly(st.just("auto"), _LETTERS | st.text("0123456789, a", max_size=8)),
+    "--format": st.sampled_from(["pretty", "json", "tsv", "dot", "bad"]),
+    "--box": st.integers(-2, 2).map(str),
+    "--depth": st.integers(0, 3).map(str),
+    "--max-rank": st.integers(0, 2).map(str),
+    "--type-index": _mostly(st.integers(1, 4), st.sampled_from([-10**30, -1, 0, 5, 10**30])).map(str),
+    "--source": st.sampled_from(["gp", "moves", "bad"]),
+    "--param": st.sampled_from(["lusztig", "string", "bad"]),
+    "--strict": st.none(),  # a flag, with no value
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A command or verify kind with most of its options, at times one more."""
+    words, options = draw(st.sampled_from(COMMAND_ROWS))
+    flags = [flag for flag in options if flag != "--out" and draw(st.integers(0, 7))]
+    if not draw(st.integers(0, 7)):
+        flags.append(draw(st.sampled_from(sorted(OPTION_VALUES))))
+    argv = list(words)
+    for flag in draw(st.permutations(flags)):
+        values = OPTION_VALUES[flag]
+        if "choices" in options.get(flag, {}):
+            values = _mostly(st.sampled_from(options[flag]["choices"]), values)
+        value = draw(values)
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(deadline=None, max_examples=150)
+@given(argv=command_lines())
+def test_every_command_line_exits_with_output_or_refuses_without(argv):
+    # 0 or 1 with stdout, or 2 with none; any other exception fails the test
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert out.getvalue() == "", argv
+    else:
+        assert code in (0, 1) and out.getvalue(), (argv, code, err.getvalue())

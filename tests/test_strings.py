@@ -195,6 +195,17 @@ def test_generate_strings_box_zero():
     assert generated_points(D2, W2, 0) == frozenset({(0, 0, 0)})
 
 
+@pytest.mark.parametrize("box", [0, -1])
+def test_generate_strings_without_points_to_search_builds_no_layout(box):
+    # box 0 has only zero and a negative box nothing, so neither reads the
+    # layout: no lookup, hit or miss, of its cache
+    q = parse_quiver("2>1,2>3,4>3,4>5,6>5,7>6")
+    before = _layout.cache_info()
+    generate_strings(q.diagram, adapted_word(q), box)
+    after = _layout.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 def test_box_filter_matches_generation_a3(a3):
     q, word = a3
     d = q.diagram
